@@ -42,8 +42,26 @@ type Engine struct {
 	mu   sync.Mutex
 	byR  map[float64]*rEntry
 	byKR map[krKey]*krEntry
+	tr   *traffic
+}
+
+// traffic holds cache hit/miss counters. One traffic value is shared by
+// pointer across every engine generation (and, per setting, across
+// every generation of a carried krEntry), never copied: a lookup that
+// lands on an old generation while advance builds the next one still
+// counts in the counters the new generation reports.
+type traffic struct {
 	hits atomic.Int64
 	miss atomic.Int64
+}
+
+// count records one lookup as a hit or a miss.
+func (t *traffic) count(hit bool) {
+	if hit {
+		t.hits.Add(1)
+	} else {
+		t.miss.Add(1)
+	}
 }
 
 type krKey struct {
@@ -71,16 +89,15 @@ type rEntry struct {
 // krEntry is the prepared problem of one (k,r) setting. ready flips
 // after the once body completed, so concurrent queries can tell a
 // served entry (cache hit) from one still being built (miss: they
-// block on the once alongside the builder). hits/miss are the
-// per-setting split of the engine-wide counters, the series the
-// /metrics endpoint exports per (k,r).
+// block on the once alongside the builder). tr is the per-setting
+// split of the engine-wide counters, the series the /metrics endpoint
+// exports per (k,r).
 type krEntry struct {
 	once  sync.Once
 	pr    *core.Prepared
 	err   error
 	ready atomic.Bool
-	hits  atomic.Int64
-	miss  atomic.Int64
+	tr    *traffic
 }
 
 // readyREntry wraps already-built per-r state so later queries treat it
@@ -96,7 +113,7 @@ func readyREntry(o *Oracle, filtered *graph.Graph) *rEntry {
 
 // readyKREntry wraps an already-prepared (k,r) problem.
 func readyKREntry(pr *core.Prepared) *krEntry {
-	ent := &krEntry{pr: pr}
+	ent := &krEntry{pr: pr, tr: &traffic{}}
 	ent.once.Do(func() {})
 	ent.ready.Store(true)
 	return ent
@@ -111,6 +128,7 @@ func NewEngine(g *Graph, m Metric) *Engine {
 		metric: m,
 		byR:    map[float64]*rEntry{},
 		byKR:   map[krKey]*krEntry{},
+		tr:     &traffic{},
 	}
 }
 
@@ -144,8 +162,8 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return EngineStats{
-		Hits:       e.hits.Load(),
-		Misses:     e.miss.Load(),
+		Hits:       e.tr.hits.Load(),
+		Misses:     e.tr.miss.Load(),
 		Thresholds: len(e.byR),
 		Prepared:   len(e.byKR),
 	}
@@ -186,8 +204,8 @@ func (e *Engine) SettingsStats() []SettingStats {
 		out = append(out, SettingStats{
 			K:      it.key.k,
 			R:      it.key.r,
-			Hits:   it.ent.hits.Load(),
-			Misses: it.ent.miss.Load(),
+			Hits:   it.ent.tr.hits.Load(),
+			Misses: it.ent.tr.miss.Load(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -214,11 +232,7 @@ func (e *Engine) Oracle(r float64) (*Oracle, error) {
 		return nil, errors.New("krcore: similarity threshold r must not be NaN")
 	}
 	ent := e.rEntryFor(r)
-	if ent.oracleReady.Load() {
-		e.hits.Add(1)
-	} else {
-		e.miss.Add(1)
-	}
+	e.tr.count(ent.oracleReady.Load())
 	e.buildOracle(ent, r)
 	return ent.oracle, nil
 }
@@ -345,7 +359,7 @@ func (e *Engine) prepared(k int, r float64) (*core.Prepared, error) {
 	e.mu.Lock()
 	ent, ok := e.byKR[key]
 	if !ok {
-		ent = &krEntry{}
+		ent = &krEntry{tr: &traffic{}}
 		e.byKR[key] = ent
 	}
 	e.mu.Unlock()
@@ -355,13 +369,9 @@ func (e *Engine) prepared(k int, r float64) (*core.Prepared, error) {
 	// same latency, so it counts as a miss — as does a cached build
 	// error, which serves no prepared state. (Reading ent.err here is
 	// safe: it is written before the ready flag's atomic store.)
-	if ok && ent.ready.Load() && ent.err == nil {
-		e.hits.Add(1)
-		ent.hits.Add(1)
-	} else {
-		e.miss.Add(1)
-		ent.miss.Add(1)
-	}
+	hit := ok && ent.ready.Load() && ent.err == nil
+	e.tr.count(hit)
+	ent.tr.count(hit)
 	ent.once.Do(func() {
 		re := e.forR(r)
 		ent.pr, ent.err = core.PrepareFiltered(re.filtered, core.Params{K: k, Oracle: re.oracle})
@@ -446,15 +456,15 @@ type advanceStats struct {
 //     recompute, and either way every component untouched by the delta
 //     keeps its existing problem, including its dissimilarity lists.
 //
-// Cache hit/miss counters carry over so Stats stays coherent across
-// mutations. The receiver is left unchanged; the caller must serialise
-// advance with queries on the same engine value (DynamicEngine holds
-// its write lock across the call).
+// Cache hit/miss counters are shared with the new engine by pointer,
+// so Stats stays coherent across mutations even when queries keep
+// landing on the receiver while advance runs. The receiver's caches
+// are left unchanged, and queries may run on it concurrently: advance
+// only reads entries that are ready, whose fields are immutable.
 func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 	var st advanceStats
 	ne := NewEngine(d.g2, e.metric)
-	ne.hits.Store(e.hits.Load())
-	ne.miss.Store(e.miss.Load())
+	ne.tr = e.tr
 	e.mu.Lock()
 	rs := make(map[float64]*rEntry, len(e.byR))
 	for r, ent := range e.byR {
@@ -518,8 +528,7 @@ func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 		kept := readyKREntry(pr)
 		// Per-setting traffic counters follow the entry across the
 		// advance, like the engine-wide ones do.
-		kept.hits.Store(old.hits.Load())
-		kept.miss.Store(old.miss.Load())
+		kept.tr = old.tr
 		ne.byKR[key] = kept
 	}
 	return ne, st

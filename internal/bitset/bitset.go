@@ -16,6 +16,32 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// Rows returns count sets of capacity n, all clear, carved out of one
+// backing array: count·⌈n/64⌉ words in a single allocation, the shape
+// of an adjacency matrix stored row by row.
+func Rows(count, n int) []Set {
+	w := (n + 63) / 64
+	words := make([]uint64, count*w)
+	rows := make([]Set, count)
+	for i := range rows {
+		rows[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return rows
+}
+
+// Resize makes s hold bits 0..n-1, all clear, reusing its storage when
+// it is large enough.
+func (s *Set) Resize(n int) {
+	w := (n + 63) / 64
+	if cap(s.words) < w {
+		s.words = make([]uint64, w)
+	} else {
+		s.words = s.words[:w]
+		clear(s.words)
+	}
+	s.n = n
+}
+
 // Len returns the capacity of the set (number of addressable bits).
 func (s *Set) Len() int { return s.n }
 

@@ -128,3 +128,33 @@ func TestAgainstMapModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRowsAndResize(t *testing.T) {
+	rows := Rows(3, 70)
+	for i := range rows {
+		if rows[i].Len() != 70 || rows[i].Any() {
+			t.Fatalf("row %d: len %d, any %v", i, rows[i].Len(), rows[i].Any())
+		}
+	}
+	rows[0].Set(69)
+	rows[1].Set(0)
+	rows[1].Set(69)
+	if rows[2].Any() || rows[0].Count() != 1 || rows[0].IntersectionCount(&rows[1]) != 1 {
+		t.Fatal("rows share bits")
+	}
+
+	var s Set
+	s.Resize(130)
+	s.Set(129)
+	if s.Len() != 130 || !s.Test(129) {
+		t.Fatal("Resize from zero value")
+	}
+	s.Resize(64)
+	if s.Len() != 64 || s.Any() {
+		t.Fatal("shrinking Resize must clear")
+	}
+	s.Resize(128)
+	if s.Any() {
+		t.Fatal("Resize within capacity must clear")
+	}
+}

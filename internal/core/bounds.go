@@ -56,9 +56,11 @@ func (s *state) colorBound() int {
 // (number of removed dissimilar partners of v); the effective similarity
 // degree is key(v) − removedTotal, and keys only grow, so a monotone
 // bucket scan yields the minimum in O(|H| + nd) total.
+//
+// Every buffer lives in the state and is reused from node to node.
 func (s *state) simPeelBound(structural bool) int {
 	h := s.members(s.scratch[:0], statusM, statusC)
-	defer func() { s.scratch = h[:0] }()
+	s.scratch = h[:0]
 	n := len(h)
 	if n == 0 {
 		return 0
@@ -71,8 +73,11 @@ func (s *state) simPeelBound(structural bool) int {
 		inH[v] = true
 	}
 
-	key := make([]int32, s.p.n)  // simdeg0 + corrections
-	sdeg := make([]int32, s.p.n) // structural degree within remaining H
+	// key: simdeg0 + corrections; sdeg: structural degree within the
+	// remaining H. Only the slots of H are read, so neither is cleared.
+	key := lengthened(s.peelKey, s.p.n)
+	sdeg := lengthened(s.peelDeg, s.p.n)
+	s.peelKey, s.peelDeg = key, sdeg
 	for _, v := range h {
 		dIn := int32(0)
 		for _, d := range s.p.dissim[v] {
@@ -86,47 +91,15 @@ func (s *state) simPeelBound(structural bool) int {
 
 	// Lazy bucket queue over keys; keys never exceed simdeg0+|dissim| <
 	// 2n, and never decrease, so the ascending scan is monotone.
-	buckets := make([][]int32, 2*n+2)
+	buckets := s.peelBucketsFor(2*n + 2)
 	for _, v := range h {
 		buckets[key[v]] = append(buckets[key[v]], v)
 	}
 
+	k := int32(s.p.k)
 	removedTotal := int32(0)
 	kPrime := int32(0)
-	remove := func(v int32) {
-		inH[v] = false
-		removedTotal++
-		for _, d := range s.p.dissim[v] {
-			if inH[d] {
-				key[d]++
-				buckets[key[d]] = append(buckets[key[d]], d)
-			}
-		}
-	}
-	// cascade removes structurally deficient vertices at the current k'
-	// level (KK'coreUpdate); their removal does not raise k'.
-	var cascadeQueue []int32
-	cascade := func(v int32) {
-		cascadeQueue = append(cascadeQueue[:0], v)
-		for len(cascadeQueue) > 0 {
-			u := cascadeQueue[len(cascadeQueue)-1]
-			cascadeQueue = cascadeQueue[:len(cascadeQueue)-1]
-			if !inH[u] {
-				continue
-			}
-			remove(u)
-			for _, nb := range s.p.adj[u] {
-				if !inH[nb] {
-					continue
-				}
-				sdeg[nb]--
-				if structural && sdeg[nb] < int32(s.p.k) {
-					cascadeQueue = append(cascadeQueue, nb)
-				}
-			}
-		}
-	}
-
+	queue := s.peelQueue[:0]
 	for b := 0; b < len(buckets) && removedTotal < int32(n); b++ {
 		for len(buckets[b]) > 0 {
 			v := buckets[b][len(buckets[b])-1]
@@ -138,8 +111,60 @@ func (s *state) simPeelBound(structural bool) int {
 			if eff > kPrime {
 				kPrime = eff
 			}
-			cascade(v)
+			// Remove v, then cascade: remove the structurally deficient
+			// vertices at the current k' level (KK'coreUpdate); their
+			// removal does not raise k'.
+			queue = append(queue[:0], v)
+			for len(queue) > 0 {
+				u := queue[len(queue)-1]
+				queue = queue[:len(queue)-1]
+				if !inH[u] {
+					continue
+				}
+				inH[u] = false
+				removedTotal++
+				for _, d := range s.p.dissim[u] {
+					if inH[d] {
+						key[d]++
+						buckets[key[d]] = append(buckets[key[d]], d)
+					}
+				}
+				for _, nb := range s.p.adj[u] {
+					if !inH[nb] {
+						continue
+					}
+					sdeg[nb]--
+					if structural && sdeg[nb] < k {
+						queue = append(queue, nb)
+					}
+				}
+			}
 		}
 	}
+	s.peelQueue = queue[:0]
 	return int(kPrime) + 1
+}
+
+// peelBucketsFor returns the state's bucket queue with nb empty
+// buckets, keeping every bucket's storage from earlier nodes.
+func (s *state) peelBucketsFor(nb int) [][]int32 {
+	if cap(s.peelBuckets) < nb {
+		grown := make([][]int32, nb)
+		copy(grown, s.peelBuckets[:cap(s.peelBuckets)])
+		s.peelBuckets = grown
+	}
+	s.peelBuckets = s.peelBuckets[:nb]
+	for i := range s.peelBuckets {
+		s.peelBuckets[i] = s.peelBuckets[i][:0]
+	}
+	return s.peelBuckets
+}
+
+// lengthened returns buf with length n, reusing its storage when large
+// enough. Unlike resized it does not clear the elements.
+func lengthened[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -57,7 +57,7 @@ func bruteKPrimeMax(p *problem) int {
 }
 
 func rootState(prob *problem) *state {
-	return newState(prob, &budget{})
+	return getState(prob, &budget{})
 }
 
 func TestDoubleKcoreBoundExact(t *testing.T) {

@@ -16,6 +16,27 @@
 //   - size upper bounds including the (k,k')-core bound (Theorem 7,
 //     Algorithm 6) for the maximum search (Algorithm 5), and
 //   - the search orders of Section 7.
+//
+// The search kernel allocates nothing per search node. Each component
+// search takes a pooled state (getState) and returns it on every exit
+// path, truncated and cancelled searches included. The state holds the
+// incremental counters, the undo trail and all per-node scratch: the
+// (k,k')-core bound's bucket queue, the maximal check's masks and
+// candidate stacks, and the early-termination fixpoint, whose sets are
+// epoch-stamped arrays. A warm search allocates its Result and the
+// cores it emits.
+//
+// The Δ orders simulate both branches of every eligible candidate
+// (Section 7.2). On components of at most maxRowsN = 4096 vertices the
+// simulation tests only candidates whose slack deg(u, M∪C) − k is below
+// the number of vertices removed so far, each with one bitset
+// intersection of its adjacency row against the removed set. The rows
+// take n·⌈n/64⌉·8 bytes, at most 2 MiB per component. They are built
+// lazily on the component's first Δ choice, shared by every query on
+// the component, carried by PatchPreparedDelta with the component, and
+// never serialized. Larger components run the list-scan simulation.
+// Both compute the same removed set, so every choice, core and node
+// count is identical.
 package core
 
 import (

@@ -127,27 +127,25 @@ func runEnumeration(probs []*problem, opt EnumOptions) (all [][]int32, nodes int
 // searchComponent runs one component's search, honouring the anchor and
 // emitting cores as global-id slices.
 func searchComponent(prob *problem, opt EnumOptions, bud *budget, emit func([]int32)) {
-	e := &enumSearch{st: newState(prob, bud), opt: opt}
+	anchor := int32(-1)
 	if opt.anchorPlus1 > 0 {
-		anchor := opt.anchorPlus1 - 1
-		local := int32(-1)
 		for i, v := range prob.orig {
-			if v == anchor {
-				local = int32(i)
+			if v == opt.anchorPlus1-1 {
+				anchor = int32(i)
 				break
 			}
 		}
-		if local < 0 {
+		if anchor < 0 {
 			return
 		}
-		e.st.expand(local)
-		e.anchor = local
-	} else {
-		e.anchor = -1
 	}
-	e.run(func(localCore []int32) {
-		emit(prob.toGlobal(localCore))
-	})
+	s := getState(prob, bud)
+	defer putState(s)
+	if anchor >= 0 {
+		s.expand(anchor)
+	}
+	e := enumSearch{st: s, opt: opt, emit: emit, anchor: anchor}
+	e.node()
 }
 
 // enumSearch carries one component's enumeration.
@@ -162,11 +160,6 @@ type enumSearch struct {
 	// krlint:nonblocking
 	emit   func([]int32)
 	anchor int32 // pre-committed query vertex, -1 when unanchored
-}
-
-func (e *enumSearch) run(emit func([]int32)) {
-	e.emit = emit
-	e.node()
 }
 
 // node is one search-tree node of Algorithm 3 (or of the basic
@@ -235,32 +228,40 @@ func (e *enumSearch) node() {
 // is a single connected core (connectivity pruning guarantees it). At
 // the unique all-shrink leaf (M empty) each connected component of C is
 // a core on its own. Each core is checked for maximality against the
-// relevant excluded set E (Theorem 6) unless disabled.
+// relevant excluded set E (Theorem 6) unless disabled. The cores are
+// collected in the state's leaf buffer; the emitted global-id slice is
+// the only allocation.
 func (e *enumSearch) reportLeaf() {
 	s := e.st
-	var candidates [][]int32
 	if s.cntM > 0 {
-		candidates = [][]int32{s.members(nil, statusM, statusC)}
-	} else {
-		candidates = s.mcComponents()
+		s.leaf = s.members(s.leaf, statusM, statusC)
+		e.report(s.leaf)
+		return
 	}
-	for _, r := range candidates {
-		if len(r) < s.p.k+1 || len(r) < e.opt.MinSize {
-			continue
-		}
-		if e.anchor >= 0 && !containsLocal(r, e.anchor) {
-			continue
-		}
-		if !e.opt.DisableMaximalCheck {
-			if !s.checkMaximal(r, e.opt.CheckOrder, e.opt.Lambda) {
-				continue
-			}
-		}
-		e.emit(r)
-		if s.bud.exhausted() {
+	start := 0
+	for _, end := range s.mcComponents() {
+		if !e.report(s.leaf[start:end]) {
 			return
 		}
+		start = end
 	}
+}
+
+// report checks one leaf core r (local ids) and emits it when it
+// qualifies. It returns false once the budget is exhausted.
+func (e *enumSearch) report(r []int32) bool {
+	s := e.st
+	if len(r) < s.p.k+1 || len(r) < e.opt.MinSize {
+		return true
+	}
+	if e.anchor >= 0 && !containsLocal(r, e.anchor) {
+		return true
+	}
+	if !e.opt.DisableMaximalCheck && !s.checkMaximal(r, e.opt.CheckOrder, e.opt.Lambda) {
+		return true
+	}
+	e.emit(s.p.toGlobal(r))
+	return !s.bud.exhausted()
 }
 
 // earlyTerminate implements Theorem 5: the subtree cannot contain any
@@ -292,15 +293,17 @@ func (s *state) earlyTerminate() bool {
 		s.scratch = w[:0]
 		return false
 	}
-	inW := make(map[int32]bool, len(w))
-	degW := make(map[int32]int32, len(w))
+	// W membership and W-internal degrees, as an epoch-stamped set and
+	// a per-vertex array valid for the members of w.
+	inW, degW := &s.inW, s.degW
+	inW.next()
 	for _, v := range w {
-		inW[v] = true
+		inW.add(v)
 	}
 	for _, v := range w {
 		d := s.degM[v]
 		for _, nb := range s.p.adj[v] {
-			if inW[nb] {
+			if inW.has(nb) {
 				d++
 			}
 		}
@@ -310,19 +313,19 @@ func (s *state) earlyTerminate() bool {
 	for _, v := range w {
 		if degW[v] < int32(s.p.k) {
 			queue = append(queue, v)
-			inW[v] = false
+			inW.remove(v)
 		}
 	}
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, nb := range s.p.adj[v] {
-			if !inW[nb] {
+			if !inW.has(nb) {
 				continue
 			}
 			degW[nb]--
 			if degW[nb] < int32(s.p.k) {
-				inW[nb] = false
+				inW.remove(nb)
 				queue = append(queue, nb)
 			}
 		}
@@ -331,7 +334,7 @@ func (s *state) earlyTerminate() bool {
 	s.scratch = w[:0]
 	survivors := false
 	for _, v := range w {
-		if inW[v] {
+		if inW.has(v) {
 			survivors = true
 			break
 		}
@@ -358,7 +361,7 @@ func (s *state) earlyTerminate() bool {
 			if s.visited[nb] {
 				continue
 			}
-			if inW[nb] {
+			if inW.has(nb) {
 				s.visited[nb] = true
 				reached = true
 				q = append(q, nb)
@@ -377,19 +380,19 @@ func (s *state) earlyTerminate() bool {
 	// reachable survivor set.
 	changed := false
 	for _, v := range w {
-		if inW[v] && !s.visited[v] {
-			inW[v] = false
+		if inW.has(v) && !s.visited[v] {
+			inW.remove(v)
 			changed = true
 		}
 	}
 	if changed {
 		for _, v := range w {
-			if !inW[v] {
+			if !inW.has(v) {
 				continue
 			}
 			d := s.degM[v]
 			for _, nb := range s.p.adj[v] {
-				if inW[nb] {
+				if inW.has(nb) {
 					d++
 				}
 			}

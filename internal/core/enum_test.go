@@ -192,7 +192,7 @@ func TestStateInvariantsDuringSearch(t *testing.T) {
 		inst := randomInstance(rng, 12)
 		bud := &budget{}
 		for _, prob := range prepare(inst.g, inst.p) {
-			st := newState(prob, bud)
+			st := getState(prob, bud)
 			if err := st.checkInvariants(); err != nil {
 				t.Fatalf("trial %d initial state: %v", trial, err)
 			}

@@ -19,24 +19,31 @@ package core
 //     rather than by |E|.
 
 // checkMaximal reports whether the core with the given local vertex ids
-// is maximal with respect to the current excluded set E.
+// is maximal with respect to the current excluded set E. The nested
+// search runs on the state's checkSearch, whose buffers are reused
+// from leaf to leaf.
 func (s *state) checkMaximal(r []int32, order Order, lambda float64) bool {
-	inT := make([]bool, s.p.n)
+	c := &s.chk
+	n := s.p.n
+	c.s, c.root, c.order, c.lambda = s, r[0], order, lambda
+	c.inT = resized(c.inT, n)
+	c.inCand = resized(c.inCand, n)
+	c.seen = resized(c.seen, n)
 	for _, v := range r {
-		inT[v] = true
+		c.inT[v] = true
 	}
 	// Eligible extension candidates: excluded vertices similar to every
 	// vertex of R. Membership in E guarantees similarity to M; the
 	// dissimilarity scan covers the rest of R (which matters at the
 	// all-shrink leaf, where R may be a strict subset of M∪C).
-	var cand []int32
-	for v := int32(0); v < int32(s.p.n); v++ {
+	cand := c.arena[:0]
+	for v := int32(0); v < int32(n); v++ {
 		if s.status[v] != statusE {
 			continue
 		}
 		ok := true
 		for _, d := range s.p.dissim[v] {
-			if inT[d] {
+			if c.inT[d] {
 				ok = false
 				break
 			}
@@ -48,21 +55,17 @@ func (s *state) checkMaximal(r []int32, order Order, lambda float64) bool {
 	if len(cand) == 0 {
 		return true
 	}
-	ck := &checkSearch{
-		s:      s,
-		root:   r[0],
-		inT:    inT,
-		inCand: make([]bool, s.p.n),
-		seen:   make([]bool, s.p.n),
-		order:  order,
-		lambda: lambda,
+	c.arena = cand
+	if cap(c.added) < len(cand) {
+		c.added = make([]int32, 0, len(cand))
 	}
-	return !ck.extend(nil, cand)
+	return !c.extend(c.added[:0], cand)
 }
 
 // checkSearch is the nested Algorithm 4 search. T = R ∪ added is the
 // committed extension candidate; cand the remaining eligible excluded
-// vertices.
+// vertices. One checkSearch lives in each state and is reset by
+// checkMaximal; every buffer is reused.
 type checkSearch struct {
 	s      *state
 	root   int32  // any vertex of R, the BFS anchor
@@ -71,10 +74,18 @@ type checkSearch struct {
 	seen   []bool // scratch: BFS marker
 	order  Order
 	lambda float64
+
+	// arena holds the candidate lists of the open extend frames as a
+	// stack: each frame owns its cand and pushes the copy its expand
+	// branch consumes. added is the stack of committed additions.
+	arena      []int32
+	added      []int32
+	stack      []int32 // BFS stack of pruneCand and isCore
+	conflicted []int32 // choose's candidate pool
 }
 
 // extend reports whether some superset R∪U (U non-empty) is a
-// (k,r)-core. It consumes cand; callers pass fresh slices.
+// (k,r)-core. It consumes cand, which the calling frame hands over.
 func (c *checkSearch) extend(added, cand []int32) bool {
 	s := c.s
 	if !s.bud.step() {
@@ -98,7 +109,7 @@ func (c *checkSearch) extend(added, cand []int32) bool {
 		clean := true
 		for _, v := range cand {
 			for _, d := range s.p.dissim[v] {
-				if c.inCandOrT(d, cand) {
+				if c.inCand[d] {
 					clean = false
 					break
 				}
@@ -116,27 +127,25 @@ func (c *checkSearch) extend(added, cand []int32) bool {
 	}
 
 	u := c.choose(cand)
-	rest := make([]int32, 0, len(cand)-1)
+	rest := cand[:0]
 	for _, v := range cand {
 		if v != u {
 			rest = append(rest, v)
 		}
 	}
-	// Expand branch first (Section 7.4).
+	// Expand branch first (Section 7.4), on a copy of rest pushed onto
+	// the arena and popped when the branch returns.
+	mark := len(c.arena)
+	c.arena = append(c.arena, rest...)
 	c.inT[u] = true
-	if c.extend(append(added, u), append([]int32(nil), rest...)) {
-		c.inT[u] = false
+	found := c.extend(append(added, u), c.arena[mark:len(c.arena):len(c.arena)])
+	c.inT[u] = false
+	c.arena = c.arena[:mark]
+	if found {
 		return true
 	}
-	c.inT[u] = false
 	// Shrink branch.
 	return c.extend(added, rest)
-}
-
-// inCandOrT reports whether d is a current candidate (cand mask is
-// maintained by pruneCand and valid within one extend frame).
-func (c *checkSearch) inCandOrT(d int32, cand []int32) bool {
-	return c.inCand[d]
 }
 
 // pruneCand removes candidates that are dissimilar to T, structurally
@@ -176,7 +185,7 @@ func (c *checkSearch) pruneCand(added, cand []int32) ([]int32, bool) {
 		for i := range c.seen {
 			c.seen[i] = false
 		}
-		stack := []int32{c.root}
+		stack := append(c.stack[:0], c.root)
 		c.seen[c.root] = true
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
@@ -188,6 +197,7 @@ func (c *checkSearch) pruneCand(added, cand []int32) ([]int32, bool) {
 				}
 			}
 		}
+		c.stack = stack
 		for _, a := range added {
 			if !c.seen[a] || c.degTC(a) < int32(s.p.k) {
 				return cand, true // committed vertex stranded
@@ -220,6 +230,18 @@ func (c *checkSearch) degTC(v int32) int32 {
 	return d
 }
 
+// dissimIn returns the number of v's dissimilar partners among the
+// current candidates.
+func (c *checkSearch) dissimIn(v int32) int32 {
+	var n int32
+	for _, d := range c.s.p.dissim[v] {
+		if c.inCand[d] {
+			n++
+		}
+	}
+	return n
+}
+
 // isCore reports whether T (= R plus the committed additions) is a
 // (k,r)-core: R's vertices keep their degrees by monotonicity, committed
 // additions need deg(a,T) >= k, pairwise similarity holds by pruning,
@@ -241,7 +263,7 @@ func (c *checkSearch) isCore(added []int32) bool {
 	for i := range c.seen {
 		c.seen[i] = false
 	}
-	stack := []int32{c.root}
+	stack := append(c.stack[:0], c.root)
 	c.seen[c.root] = true
 	visited := 1
 	total := 0
@@ -261,6 +283,7 @@ func (c *checkSearch) isCore(added []int32) bool {
 			}
 		}
 	}
+	c.stack = stack
 	return visited == total
 }
 
@@ -274,7 +297,7 @@ func (c *checkSearch) choose(cand []int32) int32 {
 	s := c.s
 	// Restrict to candidates with a dissimilar partner among the
 	// candidates; the shortcut guarantees at least one exists.
-	conflicted := make([]int32, 0, len(cand))
+	conflicted := c.conflicted[:0]
 	for _, v := range cand {
 		for _, d := range s.p.dissim[v] {
 			if c.inCand[d] {
@@ -283,18 +306,10 @@ func (c *checkSearch) choose(cand []int32) int32 {
 			}
 		}
 	}
+	c.conflicted = conflicted
 	pool := conflicted
 	if len(pool) == 0 {
 		pool = cand
-	}
-	dissimIn := func(v int32) int32 {
-		var n int32
-		for _, d := range s.p.dissim[v] {
-			if c.inCand[d] {
-				n++
-			}
-		}
-		return n
 	}
 	best := pool[0]
 	switch c.order {
@@ -303,7 +318,7 @@ func (c *checkSearch) choose(cand []int32) int32 {
 	case OrderDelta1ThenDelta2, OrderDelta1:
 		bestScore := int32(-1)
 		for _, v := range pool {
-			if sc := dissimIn(v); sc > bestScore {
+			if sc := c.dissimIn(v); sc > bestScore {
 				bestScore = sc
 				best = v
 			}
@@ -315,7 +330,7 @@ func (c *checkSearch) choose(cand []int32) int32 {
 		}
 		bestScore := -1e18
 		for _, v := range pool {
-			sc := lambda*float64(dissimIn(v)) - float64(c.degTC(v))
+			sc := lambda*float64(c.dissimIn(v)) - float64(c.degTC(v))
 			if sc > bestScore {
 				bestScore = sc
 				best = v

@@ -62,7 +62,9 @@ func searchMaxComponent(prob *problem, comp int, opt MaxOptions, bud *budget, in
 	if len(prob.orig) <= inc.threshold(comp) {
 		return // the whole component cannot improve on the incumbent
 	}
-	ms := &maxSearch{st: newState(prob, bud), opt: opt, inc: inc, comp: comp}
+	s := getState(prob, bud)
+	defer putState(s)
+	ms := maxSearch{st: s, opt: opt, inc: inc, comp: comp}
 	ms.node()
 }
 
@@ -203,17 +205,29 @@ func (m *maxSearch) node() {
 	}
 }
 
+// reportLeaf offers the leaf's cores to the incumbent: M∪C when M is
+// non-empty, else each connected component of C. The candidates are
+// mapped to global ids in a state buffer; offer copies what it keeps.
 func (m *maxSearch) reportLeaf() {
 	s := m.st
-	var candidates [][]int32
 	if s.cntM > 0 {
-		candidates = [][]int32{s.members(nil, statusM, statusC)}
-	} else {
-		candidates = s.mcComponents()
+		s.leaf = s.members(s.leaf, statusM, statusC)
+		m.offer(s.leaf)
+		return
 	}
-	for _, r := range candidates {
-		if len(r) >= s.p.k+1 && len(r) > m.inc.threshold(m.comp) {
-			m.inc.offer(s.p.toGlobal(r), m.comp)
-		}
+	start := 0
+	for _, end := range s.mcComponents() {
+		m.offer(s.leaf[start:end])
+		start = end
+	}
+}
+
+// offer installs the leaf core r (local ids) when it can beat the
+// incumbent.
+func (m *maxSearch) offer(r []int32) {
+	s := m.st
+	if len(r) >= s.p.k+1 && len(r) > m.inc.threshold(m.comp) {
+		s.global = s.p.appendGlobal(s.global[:0], r)
+		m.inc.offer(s.global, m.comp)
 	}
 }

@@ -91,7 +91,7 @@ func benchRootState(b *testing.B) *state {
 			biggest = p
 		}
 	}
-	return newState(biggest, &budget{})
+	return getState(biggest, &budget{})
 }
 
 func BenchmarkBoundNaive(b *testing.B) {

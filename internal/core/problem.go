@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
+	"krcore/internal/bitset"
 	"krcore/internal/graph"
 	"krcore/internal/kcore"
 	"krcore/internal/simgraph"
@@ -21,6 +24,39 @@ type problem struct {
 	pairs  int       // number of dissimilar pairs
 	orig   []int32   // local id -> global id
 	maxDeg int       // maximum structural degree (for component ordering)
+
+	// rows holds adj as one bitset row per vertex, for the Δ orders'
+	// branch simulation. It is built on first use (see adjRows), never
+	// serialized, and shared by every query on this problem — and by
+	// every Prepared a patch carries the problem into.
+	rowsOnce sync.Once
+	rows     []bitset.Set
+}
+
+// maxRowsN caps the components whose adjacency is kept as bitset rows.
+// The rows take n·⌈n/64⌉·8 bytes, so the cap bounds them at 2 MiB per
+// component; larger components run the list-scan simulation instead.
+const maxRowsN = 4096
+
+// adjRows returns the adjacency bitset rows, building them on first
+// use, or nil when the component is above maxRowsN.
+func (p *problem) adjRows() []bitset.Set {
+	if p.n > maxRowsN {
+		return nil
+	}
+	p.rowsOnce.Do(func() { p.rows = buildRows(p) })
+	return p.rows
+}
+
+// buildRows materialises the adjacency of p as bitset rows.
+func buildRows(p *problem) []bitset.Set {
+	rows := bitset.Rows(p.n, p.n)
+	for u, nbs := range p.adj {
+		for _, v := range nbs {
+			rows[u].Set(int(v))
+		}
+	}
+	return rows
 }
 
 // Prepared holds the candidate components of one (k,r) problem, the
@@ -165,14 +201,24 @@ func buildProblem(filtered *graph.Graph, src similarity.BulkSource, p Params, co
 	return pr
 }
 
-// toGlobal maps sorted local vertex ids to sorted global ids.
+// toGlobal maps local vertex ids to sorted global ids.
 func (p *problem) toGlobal(locals []int32) []int32 {
-	out := make([]int32, len(locals))
-	for i, v := range locals {
-		out[i] = p.orig[v]
+	return p.appendGlobal(nil, locals)
+}
+
+// appendGlobal appends the global ids of locals to dst, sorted, and
+// returns the extended slice; with a nil dst it allocates exactly the
+// result.
+func (p *problem) appendGlobal(dst, locals []int32) []int32 {
+	if dst == nil {
+		dst = make([]int32, 0, len(locals))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	start := len(dst)
+	for _, v := range locals {
+		dst = append(dst, p.orig[v])
+	}
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // canonicalize sorts cores lexicographically (then by length) so results

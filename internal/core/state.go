@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"krcore/internal/bitset"
+)
 
 // Vertex statuses of the set-enumeration search. M holds chosen
 // vertices, C candidates, E the relevant excluded vertices (discarded
@@ -22,6 +27,11 @@ type change struct {
 // state is the mutable search state over one problem. All counter
 // mutations happen through apply, which records an undo entry; rewind
 // restores any earlier trail mark exactly.
+//
+// States are pooled (getState/putState): a search takes one per
+// component, reset for that component, and returns it on every exit
+// path, so warm searches reuse the counters and every scratch buffer
+// below instead of allocating them per component and per node.
 type state struct {
 	p      *problem
 	status []byte
@@ -43,41 +53,137 @@ type state struct {
 	bud *budget
 
 	// Scratch space reused across nodes.
-	queue   []int32
-	visited []bool
-	scratch []int32
-	// Two-hop Δ simulation scratch (orders.go).
-	simEpoch int32
-	simMark  []int32
-	simDeg   []int32
-	simDegEp []int32
-	simList  []int32
+	queue    []int32
+	visited  []bool
+	scratch  []int32
+	leaf     []int32 // reportLeaf's local cores (see mcComponents)
+	leafEnds []int   // end offsets of the cores in leaf
+	global   []int32 // the incumbent candidate in global ids (maximum)
+	// Δ simulation scratch (orders.go).
+	simMark  epochs     // removed by the simulated branch (list scan)
+	simDegEp epochs     // simDeg slot valid (list scan)
+	simDeg   []int32    // tentative degree (list scan)
+	simList  []int32    // removed vertices
+	simRm    bitset.Set // removed vertices (bitset simulation)
+	bySlack  []int32    // C by ascending slack, per choice
+	slacks   []int32    // the slack of each vertex of bySlack
+	slackEnd []int32    // slackEnd[t]: vertices of bySlack with slack <= t
+	// earlyTerminate's excluded-set fixpoint.
+	inW  epochs
+	degW []int32
+	// (k,k')-core bound scratch (bounds.go).
+	peelKey     []int32
+	peelDeg     []int32
+	peelBuckets [][]int32
+	peelQueue   []int32
+	// Maximal-check scratch (maxcheck.go).
+	chk checkSearch
+
 	rngState uint64
 }
 
-func newState(p *problem, bud *budget) *state {
-	n := p.n
-	s := &state{
-		p:        p,
-		status:   make([]byte, n),
-		degM:     make([]int32, n),
-		degC:     make([]int32, n),
-		dpM:      make([]int32, n),
-		dpC:      make([]int32, n),
-		dpE:      make([]int32, n),
-		bud:      bud,
-		visited:  make([]bool, n),
-		simMark:  make([]int32, n),
-		simDeg:   make([]int32, n),
-		simDegEp: make([]int32, n),
-		rngState: 0x9E3779B97F4A7C15,
-	}
-	for v := 0; v < n; v++ {
-		s.apply(int32(v), statusC)
-	}
-	s.trail = s.trail[:0] // initial population is not undoable
+// statePool recycles search states across components and queries.
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// getState returns a pooled state reset to the initial node of p's
+// search: every vertex a candidate. Callers must putState it when the
+// search ends, however it ends.
+func getState(p *problem, bud *budget) *state {
+	s := statePool.Get().(*state)
+	s.reset(p, bud)
 	return s
 }
+
+// putState returns s to the pool. It drops the references to the
+// problem and budget so a pooled state pins neither.
+func putState(s *state) {
+	s.p, s.bud = nil, nil
+	s.chk.s = nil
+	statePool.Put(s)
+}
+
+// reset makes s the root state of p's search: all n vertices in C, M
+// and E empty, an empty trail and a fresh rng. The M and E counters are
+// cleared and status and the C counters written below. The scratch
+// arrays are only re-sized: each user clears visited before use, and
+// simDeg and degW are read only in slots written since the current
+// epoch began (see epochs).
+func (s *state) reset(p *problem, bud *budget) {
+	n := p.n
+	s.p, s.bud = p, bud
+	s.degM = resized(s.degM, n)
+	s.dpM = resized(s.dpM, n)
+	s.dpE = resized(s.dpE, n)
+	s.status = lengthened(s.status, n)
+	s.degC = lengthened(s.degC, n)
+	s.dpC = lengthened(s.dpC, n)
+	s.visited = lengthened(s.visited, n)
+	s.simDeg = lengthened(s.simDeg, n)
+	s.degW = lengthened(s.degW, n)
+	s.simMark.resize(n)
+	s.simDegEp.resize(n)
+	s.inW.resize(n)
+	s.trail = s.trail[:0]
+	s.cntM, s.cntE = 0, 0
+	s.rngState = 0x9E3779B97F4A7C15
+	// The root node: every vertex a candidate. These are the counters
+	// apply(v, statusC) would leave for all v, set directly.
+	s.cntC = n
+	var dp, deg int64
+	for v := 0; v < n; v++ {
+		s.status[v] = statusC
+		s.degC[v] = int32(len(p.adj[v]))
+		s.dpC[v] = int32(len(p.dissim[v]))
+		deg += int64(s.degC[v])
+		dp += int64(s.dpC[v])
+	}
+	s.sumDpC = dp
+	s.edgesMC = deg / 2
+}
+
+// resized returns buf with length n and every element zero, reusing
+// its storage when large enough.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// epochs is an epoch-stamped membership set over vertex ids: a vertex
+// is a member when its slot holds the current stamp, so next empties
+// the set in O(1) instead of clearing n slots.
+type epochs struct {
+	stamp []uint32
+	cur   uint32
+}
+
+// resize sizes the set for n vertices and empties it.
+func (e *epochs) resize(n int) {
+	if cap(e.stamp) < n {
+		e.stamp = make([]uint32, n)
+		e.cur = 0
+	}
+	e.stamp = e.stamp[:n]
+	e.next()
+}
+
+// next empties the set. On stamp wrap-around every slot, including
+// those beyond the current length, is cleared so no stale stamp can
+// match a future one.
+func (e *epochs) next() {
+	e.cur++
+	if e.cur == 0 {
+		clear(e.stamp[:cap(e.stamp)])
+		e.cur = 1
+	}
+}
+
+func (e *epochs) has(v int32) bool { return e.stamp[v] == e.cur }
+func (e *epochs) add(v int32)      { e.stamp[v] = e.cur }
+func (e *epochs) remove(v int32)   { e.stamp[v] = 0 }
 
 // mark returns the current trail position.
 func (s *state) mark() int { return len(s.trail) }
@@ -354,10 +460,12 @@ func (s *state) members(dst []int32, statuses ...byte) []int32 {
 	return dst
 }
 
-// mcComponents returns the connected components of M∪C as local-id
-// slices.
-func (s *state) mcComponents() [][]int32 {
-	var comps [][]int32
+// mcComponents lists the connected components of M∪C one after
+// another in s.leaf, each in discovery order starting from its smallest
+// vertex, and returns their end offsets in s.leaf.
+func (s *state) mcComponents() []int {
+	comps := s.leaf[:0]
+	ends := s.leafEnds[:0]
 	for v := range s.visited {
 		s.visited[v] = false
 	}
@@ -366,7 +474,7 @@ func (s *state) mcComponents() [][]int32 {
 		if (st != statusM && st != statusC) || s.visited[v] {
 			continue
 		}
-		comp := []int32{v}
+		comps = append(comps, v)
 		s.visited[v] = true
 		q := s.queue[:0]
 		q = append(q, v)
@@ -377,15 +485,16 @@ func (s *state) mcComponents() [][]int32 {
 				nst := s.status[nb]
 				if (nst == statusM || nst == statusC) && !s.visited[nb] {
 					s.visited[nb] = true
-					comp = append(comp, nb)
+					comps = append(comps, nb)
 					q = append(q, nb)
 				}
 			}
 		}
 		s.queue = q[:0]
-		comps = append(comps, comp)
+		ends = append(ends, len(comps))
 	}
-	return comps
+	s.leaf, s.leafEnds = comps, ends
+	return ends
 }
 
 // checkInvariants verifies the similarity and degree invariants

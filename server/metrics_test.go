@@ -413,3 +413,115 @@ func TestParseMetrics(t *testing.T) {
 		t.Error("missing series should read zero")
 	}
 }
+
+// TestMetricsTotalsMonotoneAcrossCommits scrapes /metrics while
+// structure-only commits race with hot queries. No _total series may
+// ever decrease, and once the traffic stops the engine's hit and miss
+// totals, overall and per setting, must account for every lookup: an
+// advance has to carry each lookup served by the outgoing generation
+// into the counters of the next one, or the lookup is lost and a
+// scraper reads a counter reset.
+func TestMetricsTotalsMonotoneAcrossCommits(t *testing.T) {
+	d := testDynamic(t)
+	s, c := newTestServer(t, d, Config{})
+	d.SetCommitObserver(s.ObserveGroupCommit)
+	ctx := context.Background()
+	settings := []int{3, 4}
+	for _, k := range settings {
+		if err := c.Warm(ctx, k, 25); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, 5)
+	lookups := make([]atomic.Int64, len(settings))
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			k := settings[w%len(settings)]
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var err error
+				if i%2 == 0 {
+					_, err = c.Enumerate(ctx, k, 25, client.Options{})
+				} else {
+					_, err = c.FindMaximum(ctx, k, 25, client.Options{})
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+				lookups[w%len(settings)].Add(1)
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Toggle edges inside the first cluster: every round is
+		// structure-only, so the rebuild runs outside the engine lock.
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			u, v := int32(i%7), int32(i%7+1)
+			up := krcore.RemoveEdgeUpdate(u, v)
+			if (i/7)%2 == 1 {
+				up = krcore.AddEdgeUpdate(u, v)
+			}
+			if _, err := c.ApplyBatch(ctx, []krcore.Update{up}); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+
+	prev := map[string]float64{}
+	scrape := func(i int) {
+		for series, v := range client.ParseMetrics(mustMetrics(t, c)) {
+			name, _, _ := strings.Cut(series, "{")
+			if !strings.HasSuffix(name, "_total") {
+				continue
+			}
+			if old, ok := prev[series]; ok && v < old {
+				t.Errorf("scrape %d: %s went backwards: %v -> %v", i, series, old, v)
+			}
+			prev[series] = v
+		}
+	}
+	for i := 0; i < 150; i++ {
+		scrape(i)
+	}
+	close(stop)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	scrape(-1)
+
+	// Every lookup is one Warm or one query; the structure-only rounds
+	// carry both settings, so their per-setting series never reset.
+	var total float64
+	for i, k := range settings {
+		want := float64(1 + lookups[i].Load())
+		total += want
+		hits := prev[fmt.Sprintf(`krcored_engine_setting_hits_total{k="%d",r="25"}`, k)]
+		misses := prev[fmt.Sprintf(`krcored_engine_setting_misses_total{k="%d",r="25"}`, k)]
+		if hits+misses != want {
+			t.Errorf("k=%d: setting hits %v + misses %v, want %v lookups", k, hits, misses, want)
+		}
+	}
+	if got := prev["krcored_engine_cache_hits_total"] + prev["krcored_engine_cache_misses_total"]; got != total {
+		t.Errorf("engine hits+misses = %v, want %v lookups", got, total)
+	}
+}
