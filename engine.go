@@ -25,11 +25,16 @@ import (
 //     index (see BuildIndex) and the dissimilar-edge-filtered graph,
 //     which depend on r but not on k;
 //   - per pair (k,r): the prepared candidate components (the filtered
-//     graph's k-core split into connected components with their
-//     dissimilarity lists), reused by every query at that setting.
+//     graph's k-core split into connected components), reused by every
+//     query at that setting;
+//   - per candidate component: its local problem (induced adjacency and
+//     dissimilarity lists), built on first touch by the first query
+//     that searches the component. A containing query builds only its
+//     anchor's component; Warm builds all of them.
 //
 // All methods are safe for concurrent use. Concurrent queries for the
-// same uncached (k,r) prepare it exactly once (the others wait);
+// same uncached (k,r) prepare it exactly once (the others wait), and
+// concurrent first touches of one component build it exactly once;
 // queries for a cached (k,r) run immediately with zero re-preparation
 // and proceed fully in parallel, each with its own search state and
 // budget. Cancellation and node/time limits apply per query through
@@ -240,11 +245,16 @@ func (e *Engine) Oracle(r float64) (*Oracle, error) {
 // Graph returns the immutable graph the engine serves.
 func (e *Engine) Graph() *Graph { return e.g }
 
-// Warm prepares the (k,r) setting ahead of traffic, so the first real
-// query at that setting is a cache hit.
+// Warm prepares the (k,r) setting ahead of traffic and builds every
+// candidate component, so the first real query at that setting is a
+// cache hit and builds nothing.
 func (e *Engine) Warm(k int, r float64) error {
-	_, err := e.prepared(k, r)
-	return err
+	pr, err := e.prepared(k, r)
+	if err != nil {
+		return err
+	}
+	pr.Materialize()
+	return nil
 }
 
 // Enumerate returns all maximal (k,r)-cores at the given setting (see
@@ -454,7 +464,9 @@ type advanceStats struct {
 //     and rebuilt (see core.PatchPreparedDelta); batches touching a
 //     region larger than the patch budget fall back to the O(n+m) full
 //     recompute, and either way every component untouched by the delta
-//     keeps its existing problem, including its dissimilarity lists.
+//     keeps its existing problem, including its dissimilarity lists
+//     when they were built; the affected components are built again on
+//     their first touch.
 //
 // Cache hit/miss counters are shared with the new engine by pointer,
 // so Stats stays coherent across mutations even when queries keep

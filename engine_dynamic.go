@@ -621,8 +621,10 @@ func (d *DynamicEngine) FindMaximumContext(ctx context.Context, k int, r float64
 	return d.eng.FindMaximumContext(ctx, k, r, opt)
 }
 
-// Warm prepares the (k,r) setting ahead of traffic; subsequent updates
-// keep it prepared through scoped invalidation.
+// Warm prepares the (k,r) setting ahead of traffic and builds every
+// candidate component; subsequent updates keep it prepared through
+// scoped invalidation, and a component an update rebuilds is built
+// again on its first touch.
 func (d *DynamicEngine) Warm(k int, r float64) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

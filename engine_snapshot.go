@@ -67,9 +67,10 @@ func (d *DynamicEngine) SaveSnapshot(w io.Writer) error {
 
 // snapshotLocked captures a consistent serialisable state under the
 // read lock. Everything captured is immutable-after-publication
-// (patched CSR graphs, built oracles, prepared components) except the
-// attribute store, which SetAttributes/AddVertex mutate in place — it
-// is deep-cloned here so the caller can encode after unlock.
+// (patched CSR graphs, built oracles, prepared components, whose
+// unbuilt local problems snapshotState builds under the lock) except
+// the attribute store, which SetAttributes/AddVertex mutate in place —
+// it is deep-cloned here so the caller can encode after unlock.
 func (d *DynamicEngine) snapshotLocked() (*snapshot.EngineState, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -200,6 +201,11 @@ func (e *Engine) snapshotState() (*snapshot.EngineState, error) {
 		if !ent.ready.Load() || ent.err != nil || !full[key.r] {
 			continue
 		}
+		// Build every component the queries have not touched yet, here
+		// rather than in the encoder: DynamicEngine captures under its
+		// read lock, and a build reads the attribute store, which an
+		// attribute commit mutates in place once the lock is released.
+		ent.pr.Materialize()
 		st.Prepared = append(st.Prepared, snapshot.PreparedSetting{K: key.k, R: key.r, Pr: ent.pr})
 	}
 	sort.Slice(st.Prepared, func(i, j int) bool {

@@ -89,10 +89,11 @@ func snapWeightedInstance() (*krcore.Graph, *krcore.WeightedKeywordAttributes) {
 
 // goldenFixture describes one checked-in snapshot: how to rebuild the
 // engine state it captures, and the query settings it has prepared.
+// build prepares the settings with Warm, or cold (see prepareFixture).
 type goldenFixture struct {
 	name    string
 	dynamic bool
-	build   func(t *testing.T) snapshotSaver
+	build   func(t *testing.T, cold bool) snapshotSaver
 	warmed  []struct {
 		k int
 		r float64
@@ -113,11 +114,11 @@ func (f saverFunc) SaveSnapshot(w *bytes.Buffer) error { return f(w) }
 var goldenFixtures = []goldenFixture{
 	{
 		name: "geo.snap",
-		build: func(t *testing.T) snapshotSaver {
+		build: func(t *testing.T, cold bool) snapshotSaver {
 			g, geo := snapGeoInstance()
 			eng := krcore.NewEngine(g, geo.Metric())
-			mustWarm(t, eng, 2, 4)
-			mustWarm(t, eng, 3, 8)
+			prepareFixture(t, eng, 2, 4, cold)
+			prepareFixture(t, eng, 3, 8, cold)
 			if _, err := eng.Oracle(15); err != nil { // oracle-only threshold
 				t.Fatal(err)
 			}
@@ -130,10 +131,10 @@ var goldenFixtures = []goldenFixture{
 	},
 	{
 		name: "keywords.snap",
-		build: func(t *testing.T) snapshotSaver {
+		build: func(t *testing.T, cold bool) snapshotSaver {
 			g, kw := snapKeywordInstance()
 			eng := krcore.NewEngine(g, kw.Metric())
-			mustWarm(t, eng, 2, 0.25)
+			prepareFixture(t, eng, 2, 0.25, cold)
 			return saverFunc(func(w *bytes.Buffer) error { return eng.SaveSnapshot(w) })
 		},
 		warmed: []struct {
@@ -143,10 +144,10 @@ var goldenFixtures = []goldenFixture{
 	},
 	{
 		name: "weighted.snap",
-		build: func(t *testing.T) snapshotSaver {
+		build: func(t *testing.T, cold bool) snapshotSaver {
 			g, ws := snapWeightedInstance()
 			eng := krcore.NewEngine(g, ws.Metric())
-			mustWarm(t, eng, 2, 0.3)
+			prepareFixture(t, eng, 2, 0.3, cold)
 			return saverFunc(func(w *bytes.Buffer) error { return eng.SaveSnapshot(w) })
 		},
 		warmed: []struct {
@@ -157,8 +158,8 @@ var goldenFixtures = []goldenFixture{
 	{
 		name:    "dynamic.snap",
 		dynamic: true,
-		build: func(t *testing.T) snapshotSaver {
-			eng := buildDynamicFixtureEngine(t)
+		build: func(t *testing.T, cold bool) snapshotSaver {
+			eng := buildDynamicFixtureEngine(t, cold)
 			return saverFunc(func(w *bytes.Buffer) error { return eng.SaveSnapshot(w) })
 		},
 		warmed: []struct {
@@ -169,18 +170,16 @@ var goldenFixtures = []goldenFixture{
 }
 
 // buildDynamicFixtureEngine builds the dynamic fixture: the geo
-// instance warmed at (2,4) with a deterministic mutation history, so
+// instance prepared at (2,4) with a deterministic mutation history, so
 // the snapshot carries a non-zero journal offset.
-func buildDynamicFixtureEngine(t *testing.T) *krcore.DynamicEngine {
+func buildDynamicFixtureEngine(t *testing.T, cold bool) *krcore.DynamicEngine {
 	t.Helper()
 	g, geo := snapGeoInstance()
 	eng, err := krcore.NewDynamicEngine(g, geo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Warm(2, 4); err != nil {
-		t.Fatal(err)
-	}
+	prepareFixture(t, eng, 2, 4, cold)
 	if err := eng.ApplyBatch([]krcore.Update{
 		krcore.AddEdgeUpdate(0, 1),
 		krcore.AddEdgeUpdate(0, 2),
@@ -199,11 +198,34 @@ func mustWarm(t *testing.T, eng *krcore.Engine, k int, r float64) {
 	}
 }
 
-// encodeFixture rebuilds a fixture's engine and serialises it.
-func encodeFixture(t *testing.T, fx goldenFixture) []byte {
+// fixtureEngine is the preparation surface both engine flavours share.
+type fixtureEngine interface {
+	Warm(k int, r float64) error
+	EnumerateContaining(k int, r float64, v int32, opt krcore.EnumOptions) (*krcore.Result, error)
+}
+
+// prepareFixture prepares (k,r) with Warm, which builds every candidate
+// component, or cold: with one containing query, which builds only
+// vertex 0's component (if any) and leaves the rest for SaveSnapshot.
+func prepareFixture(t *testing.T, eng fixtureEngine, k int, r float64, cold bool) {
+	t.Helper()
+	var err error
+	if cold {
+		_, err = eng.EnumerateContaining(k, r, 0, krcore.EnumOptions{})
+	} else {
+		err = eng.Warm(k, r)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// encodeFixture rebuilds a fixture's engine, warm or cold, and
+// serialises it.
+func encodeFixture(t *testing.T, fx goldenFixture, cold bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := fx.build(t).SaveSnapshot(&buf); err != nil {
+	if err := fx.build(t, cold).SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -211,10 +233,12 @@ func encodeFixture(t *testing.T, fx goldenFixture) []byte {
 
 // TestSnapshotGolden pins the snapshot format: every checked-in
 // fixture must (a) be reproduced byte-for-byte by rebuilding its
-// engine from scratch, (b) re-encode byte-for-byte after a load, and
-// (c) serve queries bit-identically to the freshly built engine. With
-// -update-golden the fixtures (including the derived corrupt ones) are
-// rewritten instead.
+// engine from scratch, both warmed and cold (settings prepared by one
+// containing query, so most candidate components are still unbuilt
+// when SaveSnapshot runs), (b) re-encode byte-for-byte after a load,
+// and (c) serve queries bit-identically to the freshly built engine.
+// With -update-golden the fixtures (including the derived corrupt
+// ones) are rewritten instead.
 func TestSnapshotGolden(t *testing.T) {
 	if *updateGolden {
 		writeGoldenFixtures(t)
@@ -226,8 +250,12 @@ func TestSnapshotGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run: go test -run TestSnapshotGolden -update-golden .)", err)
 			}
-			if got := encodeFixture(t, fx); !bytes.Equal(got, want) {
+			if got := encodeFixture(t, fx, false); !bytes.Equal(got, want) {
 				t.Fatalf("rebuilding %s produced different bytes (%d vs %d); if the format or the engine changed intentionally, refresh with -update-golden",
+					fx.name, len(got), len(want))
+			}
+			if got := encodeFixture(t, fx, true); !bytes.Equal(got, want) {
+				t.Fatalf("rebuilding %s with unbuilt components produced different bytes (%d vs %d)",
 					fx.name, len(got), len(want))
 			}
 			// Byte-stable re-encode after a load.
@@ -260,7 +288,7 @@ func TestSnapshotGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := krcore.LoadEngine(bytes.NewReader(encodeFixture(t, fx)))
+			fresh, err := krcore.LoadEngine(bytes.NewReader(encodeFixture(t, fx, false)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +396,7 @@ func writeGoldenFixtures(t *testing.T) {
 	}
 	var geoBytes []byte
 	for _, fx := range goldenFixtures {
-		raw := encodeFixture(t, fx)
+		raw := encodeFixture(t, fx, false)
 		if fx.name == "geo.snap" {
 			geoBytes = raw
 		}
@@ -402,7 +430,7 @@ func TestSnapshotV1Compat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := krcore.LoadEngine(bytes.NewReader(encodeFixture(t, goldenFixtures[0])))
+		fresh, err := krcore.LoadEngine(bytes.NewReader(encodeFixture(t, goldenFixtures[0], false)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -754,7 +782,7 @@ func TestSnapshotCrashRecoveryDifferential(t *testing.T) {
 // TestDynamicSnapshotStatsSurvive checks the dynamic counters round
 // trip and updates keep accumulating on top of them.
 func TestDynamicSnapshotStatsSurvive(t *testing.T) {
-	eng := buildDynamicFixtureEngine(t)
+	eng := buildDynamicFixtureEngine(t, false)
 	before := eng.DynamicStats()
 	var buf bytes.Buffer
 	if err := eng.SaveSnapshot(&buf); err != nil {

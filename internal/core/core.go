@@ -17,6 +17,19 @@
 //     Algorithm 6) for the maximum search (Algorithm 5), and
 //   - the search orders of Section 7.
 //
+// Preparation (Prepare, PrepareFiltered and the patch paths) is O(n+m):
+// core numbers, each candidate component's sorted vertex list, the
+// component ids and each component's maximum degree. A component's
+// local problem — induced adjacency, bulk similarity join and the
+// O(size²) dissimilarity lists — is built once, under the component's
+// sync.Once, by the first search, bound or encoder that touches it, from
+// the filtered graph and bulk source of the Prepared doing the touching.
+// An anchored enumeration finds its component through the component id
+// and builds only that one; the maximum search skips, unbuilt, every
+// component too small to beat its incumbent. Materialize builds them
+// all (krcore.Engine.Warm calls it), and encoding a Prepared does too,
+// so snapshots do not depend on which components were searched.
+//
 // The search kernel allocates nothing per search node. Each component
 // search takes a pooled state (getState) and returns it on every exit
 // path, truncated and cancelled searches included. The state holds the

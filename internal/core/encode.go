@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"krcore/internal/binenc"
 	"krcore/internal/graph"
@@ -20,7 +19,8 @@ func (pr *Prepared) K() int { return pr.p.K }
 // adjacency, the dissimilarity lists and the local-to-global vertex
 // mapping. Derived state (maxDeg, the byDeg order, pair counts, the
 // component-id map) is recomputed on decode, keeping the encoding
-// canonical.
+// canonical. Unbuilt components are built first (see Materialize), so
+// the bytes do not depend on which components were searched.
 func AppendPrepared(b *binenc.Buffer, pr *Prepared) {
 	appendPrepared(b, pr, true)
 }
@@ -32,6 +32,7 @@ func AppendPreparedV1(b *binenc.Buffer, pr *Prepared) {
 }
 
 func appendPrepared(b *binenc.Buffer, pr *Prepared, withCore bool) {
+	pr.Materialize()
 	b.U32(uint32(pr.p.K))
 	b.U64(uint64(pr.n))
 	if withCore {
@@ -57,7 +58,8 @@ func appendPrepared(b *binenc.Buffer, pr *Prepared, withCore bool) {
 // component adjacency and dissimilarity lists sorted and in local
 // range, local and global vertex counts consistent, the
 // local-to-global mapping strictly ascending within the source graph,
-// every component member's core number at least K.
+// components of at least K+1 vertices ordered by their smallest
+// vertex, every component member's core number at least K.
 func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 	filtered *graph.Graph, withCore bool) (*Prepared, error) {
 	k := int(r.U32())
@@ -93,7 +95,8 @@ func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: prepared: %w", err)
 	}
-	pr := &Prepared{p: Params{K: k, Oracle: o}, n: n, coreNums: coreNums, compID: newCompIDs(n)}
+	pr := &Prepared{p: Params{K: k, Oracle: o}, n: n, filtered: filtered,
+		coreNums: coreNums, compID: newCompIDs(n)}
 	if err := pr.p.validate(); err != nil {
 		return nil, err
 	}
@@ -116,6 +119,15 @@ func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 		if len(orig) != len(adj) {
 			return nil, fmt.Errorf("core: component %d: mapping for %d of %d vertices", i, len(orig), len(adj))
 		}
+		if len(orig) < k+1 {
+			return nil, fmt.Errorf("core: component %d: %d vertices, below k+1=%d", i, len(orig), k+1)
+		}
+		// Anchored searches find a component by binary search on its
+		// smallest vertex (probByMin), so components must come in that
+		// order.
+		if i > 0 && orig[0] <= pr.probs[i-1].orig[0] {
+			return nil, fmt.Errorf("core: component %d: not ordered by smallest vertex", i)
+		}
 		for j, v := range orig {
 			if v < 0 || int(v) >= n {
 				return nil, fmt.Errorf("core: component %d: global vertex %d out of range [0,%d)", i, v, n)
@@ -129,25 +141,11 @@ func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 			}
 			pr.compID[v] = orig[0]
 		}
-		p := &problem{
-			k:      k,
-			n:      len(adj),
-			adj:    adj,
-			dissim: d.Lists,
-			pairs:  d.Pairs,
-			orig:   orig,
-		}
-		for _, nb := range adj {
-			if len(nb) > p.maxDeg {
-				p.maxDeg = len(nb)
-			}
-		}
-		pr.probs = append(pr.probs, p)
+		pr.probs = append(pr.probs, builtProblem(k, orig, adj, d.Lists, d.Pairs))
 	}
 	// Re-derive the maximum-search component order exactly as
 	// PrepareFiltered does, so a decoded Prepared searches components
 	// in the same sequence as the one that was saved.
-	pr.byDeg = append([]*problem(nil), pr.probs...)
-	sort.SliceStable(pr.byDeg, func(i, j int) bool { return pr.byDeg[i].maxDeg > pr.byDeg[j].maxDeg })
+	pr.byDeg = orderByDeg(pr.probs)
 	return pr, nil
 }

@@ -151,4 +151,17 @@ func TestDecodePreparedRejectsCorruption(t *testing.T) {
 	if _, err := DecodePrepared(binenc.NewReader(mut), p.Oracle, n, filtered, true); err == nil {
 		t.Fatal("out-of-range core number accepted")
 	}
+	// Anchored searches binary-search the components by smallest
+	// vertex, so components out of that order are rejected.
+	g2, o2 := twoClusters()
+	two, err := Prepare(g2, Params{K: 2, Oracle: o2})
+	if err != nil || two.Components() != 2 {
+		t.Fatalf("two-cluster fixture: %v", err)
+	}
+	two.probs[0], two.probs[1] = two.probs[1], two.probs[0]
+	b = binenc.Buffer{}
+	AppendPrepared(&b, two)
+	if _, err := DecodePrepared(binenc.NewReader(b.Bytes()), o2, g2.N(), two.filtered, true); err == nil {
+		t.Fatal("components out of order accepted")
+	}
 }

@@ -52,9 +52,9 @@ func (pr *Prepared) Enumerate(opt EnumOptions) (*Result, error) {
 	start := time.Now()
 	probs := pr.probs
 	if opt.anchorPlus1 > 0 {
-		probs = filterAnchorComponent(probs, opt.anchorPlus1-1)
+		probs = pr.anchorComponent(opt.anchorPlus1 - 1)
 	}
-	all, nodes, timedOut := runEnumeration(probs, opt)
+	all, nodes, timedOut := pr.runEnumeration(probs, opt)
 	if opt.DisableMaximalCheck {
 		all = filterMaximal(all)
 	} else {
@@ -91,23 +91,29 @@ func EnumerateContaining(g *graph.Graph, p Params, v int32, opt EnumOptions) (*R
 	return Enumerate(g, p, opt)
 }
 
-// filterAnchorComponent keeps only the component containing the anchor.
-func filterAnchorComponent(probs []*problem, anchor int32) []*problem {
-	for _, prob := range probs {
-		for _, v := range prob.orig {
-			if v == anchor {
-				return []*problem{prob}
-			}
-		}
+// anchorComponent returns the component containing the anchor, or none
+// when the anchor lies outside every component. compID names the
+// component by its smallest vertex and probs is ascending by orig[0]
+// (PrepareFiltered, both patch paths and DecodePrepared keep that
+// order), so one binary search finds it without touching any other
+// component.
+func (pr *Prepared) anchorComponent(anchor int32) []*problem {
+	id := pr.compID[anchor]
+	if id < 0 {
+		return nil
+	}
+	if c := probByMin(pr.probs, id); c != nil {
+		return []*problem{c}
 	}
 	return nil
 }
 
-// runEnumeration searches every candidate component, serially or on a
-// worker pool, and returns the collected cores (global ids). All
-// workers share one budget, so the limits are global: MaxNodes caps the
-// total node count and the first exhausted worker stops the rest.
-func runEnumeration(probs []*problem, opt EnumOptions) (all [][]int32, nodes int64, timedOut bool) {
+// runEnumeration searches the given components of pr, serially or on a
+// worker pool, building each on first touch, and returns the collected
+// cores (global ids). All workers share one budget, so the limits are
+// global: MaxNodes caps the total node count and the first exhausted
+// worker stops the rest.
+func (pr *Prepared) runEnumeration(probs []*problem, opt EnumOptions) (all [][]int32, nodes int64, timedOut bool) {
 	bud := newBudget(opt.Limits)
 	if !bud.precheck() {
 		return nil, 0, true
@@ -119,7 +125,7 @@ func runEnumeration(probs []*problem, opt EnumOptions) (all [][]int32, nodes int
 		mu.Unlock()
 	}
 	runPool(len(probs), opt.Parallelism, bud, func(i int) {
-		searchComponent(probs[i], opt, bud, emit)
+		searchComponent(pr.local(probs[i]), opt, bud, emit)
 	})
 	return all, bud.count(), bud.exhausted()
 }
@@ -129,15 +135,11 @@ func runEnumeration(probs []*problem, opt EnumOptions) (all [][]int32, nodes int
 func searchComponent(prob *problem, opt EnumOptions, bud *budget, emit func([]int32)) {
 	anchor := int32(-1)
 	if opt.anchorPlus1 > 0 {
-		for i, v := range prob.orig {
-			if v == opt.anchorPlus1-1 {
-				anchor = int32(i)
-				break
-			}
-		}
-		if anchor < 0 {
+		a, ok := localOf(prob.orig, opt.anchorPlus1-1)
+		if !ok {
 			return
 		}
+		anchor = a
 	}
 	s := getState(prob, bud)
 	defer putState(s)

@@ -105,6 +105,7 @@ func TestBitsetSimulationMatchesListScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pr.Materialize()
 		probs = append(probs, pr.probs...)
 	}
 	for i := 0; i < 40; i++ {

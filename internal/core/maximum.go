@@ -46,7 +46,7 @@ func (pr *Prepared) FindMaximum(opt MaxOptions) (*Result, error) {
 	probs := pr.byDeg
 	if bud.precheck() {
 		runPool(len(probs), opt.Parallelism, bud, func(i int) {
-			searchMaxComponent(probs[i], i, opt, bud, inc)
+			pr.searchMaxComponent(probs[i], i, opt, bud, inc)
 		})
 	}
 	res := &Result{Nodes: bud.count(), TimedOut: bud.exhausted(), Elapsed: time.Since(start)}
@@ -57,12 +57,13 @@ func (pr *Prepared) FindMaximum(opt MaxOptions) (*Result, error) {
 }
 
 // searchMaxComponent runs Algorithm 5 on the component with serial
-// order index comp.
-func searchMaxComponent(prob *problem, comp int, opt MaxOptions, bud *budget, inc *incumbent) {
+// order index comp, building it on first touch unless its size alone
+// rules it out.
+func (pr *Prepared) searchMaxComponent(prob *problem, comp int, opt MaxOptions, bud *budget, inc *incumbent) {
 	if len(prob.orig) <= inc.threshold(comp) {
 		return // the whole component cannot improve on the incumbent
 	}
-	s := getState(prob, bud)
+	s := getState(pr.local(prob), bud)
 	defer putState(s)
 	ms := maxSearch{st: s, opt: opt, inc: inc, comp: comp}
 	ms.node()

@@ -5,8 +5,6 @@ import (
 
 	"krcore/internal/graph"
 	"krcore/internal/kcore"
-	"krcore/internal/similarity"
-	"krcore/internal/simindex"
 )
 
 // PatchStats reports how much prepared state a patch call carried over
@@ -102,11 +100,19 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 	}
 
 	// Nothing changed at all: the filtered graph and every attribute are
-	// as before, so the old Prepared is the answer.
+	// as before, so the old components are the answer.
 	structChange := len(d.AddFiltered) > 0 || len(d.DelFiltered) > 0 || n != old.n
 	if !structChange && len(d.AttrVerts) == 0 {
+		// Returned in the old Prepared itself when that holds this
+		// filtered graph and oracle; otherwise a copy takes the new
+		// ones, so unbuilt components build from them and the old graph
+		// is not pinned.
 		st.Reused = len(old.probs)
-		return old, 0, true
+		if old.filtered == filtered && old.p == p {
+			return old, 0, true
+		}
+		return &Prepared{p: p, n: n, probs: old.probs, byDeg: old.byDeg, filtered: filtered,
+			coreNums: old.coreNums, compID: old.compID}, 0, true
 	}
 
 	// 1. Repair the core numbers (copy-on-write: untouched arrays are
@@ -242,7 +248,7 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 		}
 	}
 
-	pr := &Prepared{p: p, n: n, coreNums: cores}
+	pr := &Prepared{p: p, n: n, filtered: filtered, coreNums: cores}
 	for _, ob := range old.probs {
 		if len(ob.orig) > 0 && !dropped[ob.orig[0]] {
 			pr.probs = append(pr.probs, ob)
@@ -256,7 +262,6 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 			attrTouched[v] = true
 		}
 	}
-	var src similarity.BulkSource
 	for _, comp := range comps {
 		if len(comp) < p.K+1 {
 			continue
@@ -267,24 +272,22 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 			st.Reused++
 			continue
 		}
-		// A component whose vertex set survived intact with no member's
-		// attributes changed keeps its dissimilarity lists — the O(size²)
-		// half of a rebuild — and only re-derives the induced adjacency
-		// from the new filtered graph.
+		// A built component whose vertex set survived intact with no
+		// member's attributes changed keeps its dissimilarity lists — the
+		// O(size²) half of a build — and only re-derives the induced
+		// adjacency from the new filtered graph.
 		if ob != nil && sameVerts(ob, comp) && noneAttrTouched(comp, attrTouched) {
-			pr.probs = append(pr.probs, restructureProblem(filtered, ob, comp, d.Touched))
+			pr.probs = append(pr.probs, restructureProblem(filtered, cores, ob, comp, d.Touched))
 			st.Rebuilt++
 			continue
 		}
-		if src == nil {
-			src = simindex.For(p.Oracle)
-		}
-		pr.probs = append(pr.probs, buildProblem(filtered, src, p, comp))
+		pr.probs = append(pr.probs, newComponent(filtered, cores, p.K, comp))
 		st.Rebuilt++
 	}
 	// Components are discovered by ComponentsOf in order of smallest
 	// vertex; restoring that order keeps the result bit-identical to a
-	// fresh PrepareFiltered, including FindMaximum's tie-breaking.
+	// fresh PrepareFiltered, including FindMaximum's tie-breaking, and
+	// keeps probs searchable by orig[0] (probByMin).
 	sort.Slice(pr.probs, func(i, j int) bool { return pr.probs[i].orig[0] < pr.probs[j].orig[0] })
 
 	// 5. Component ids: shared when no assignment changed — including
@@ -331,21 +334,21 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 		pr.compID = compID
 	}
 
-	pr.byDeg = append([]*problem(nil), pr.probs...)
-	sort.SliceStable(pr.byDeg, func(i, j int) bool { return pr.byDeg[i].maxDeg > pr.byDeg[j].maxDeg })
+	pr.byDeg = orderByDeg(pr.probs)
 	return pr, visited, true
 }
 
-// PatchPrepared rebuilds the candidate components of a (k,r) problem
+// PatchPrepared recomputes the candidate components of a (k,r) problem
 // for a mutated filtered graph, reusing every component of old that the
 // mutation provably left intact. It recomputes the structural part from
 // scratch — the k-core of the new filtered graph and its connected
 // components, O(n+m) — but a component whose vertex set is unchanged
 // and contains no touched vertex keeps its existing problem object,
-// including the dissimilarity lists that would otherwise cost bulk
-// similarity work to rebuild. PatchPreparedDelta is the incremental
-// form that avoids the linear re-peeling; this full recompute remains
-// its fallback for oversized batches.
+// built or not, including the dissimilarity lists that would otherwise
+// cost bulk similarity work to rebuild. Every other component starts
+// unbuilt, like a fresh PrepareFiltered's. PatchPreparedDelta is the
+// incremental form that avoids the linear re-peeling; this full
+// recompute remains its fallback for oversized batches.
 //
 // filtered must already be dissimilar-edge-filtered under p.Oracle
 // (see simgraph.PatchFiltered for the incremental way to maintain it).
@@ -361,7 +364,7 @@ func PatchPrepared(old *Prepared, filtered *graph.Graph, p Params, touched []boo
 	if err := p.validate(); err != nil {
 		return nil, st, err
 	}
-	pr := &Prepared{p: p, n: filtered.N()}
+	pr := &Prepared{p: p, n: filtered.N(), filtered: filtered}
 	pr.coreNums = kcore.Decompose32(filtered)
 	pr.compID = newCompIDs(pr.n)
 	// Components are sorted ascending, so the smallest member identifies
@@ -372,7 +375,6 @@ func PatchPrepared(old *Prepared, filtered *graph.Graph, p Params, touched []boo
 			oldByMin[ob.orig[0]] = ob
 		}
 	}
-	var src similarity.BulkSource // built lazily: only rebuilt components need it
 	kc := coreMembers(pr.coreNums, p.K)
 	if len(kc) == 0 {
 		return pr, st, nil
@@ -389,14 +391,10 @@ func PatchPrepared(old *Prepared, filtered *graph.Graph, p Params, touched []boo
 			st.Reused++
 			continue
 		}
-		if src == nil {
-			src = simindex.For(p.Oracle)
-		}
-		pr.probs = append(pr.probs, buildProblem(filtered, src, p, comp))
+		pr.probs = append(pr.probs, newComponent(filtered, pr.coreNums, p.K, comp))
 		st.Rebuilt++
 	}
-	pr.byDeg = append([]*problem(nil), pr.probs...)
-	sort.SliceStable(pr.byDeg, func(i, j int) bool { return pr.byDeg[i].maxDeg > pr.byDeg[j].maxDeg })
+	pr.byDeg = orderByDeg(pr.probs)
 	return pr, st, nil
 }
 
@@ -459,25 +457,23 @@ func noneAttrTouched(comp []int32, attrTouched map[int32]bool) bool {
 }
 
 // restructureProblem rebuilds one component's local problem after a
-// structure-only change that preserved its vertex set. The vertex
-// sequence — hence the local id mapping — is ob's; the dissimilarity
-// lists, a function of the unchanged vertex set and attributes only,
-// are shared outright. Only the adjacency rows of touched vertices are
-// re-derived from the new filtered graph (an untouched vertex has no
-// incident filtered-edge change, so its induced row is ob's row);
-// every other row is shared too. Bit-identical to buildProblem on the
-// same component without the O(size²) bulk similarity pass or the
-// O(component edges) induced-subgraph rebuild.
-func restructureProblem(filtered *graph.Graph, ob *problem, comp []int32, touched []bool) *problem {
-	pr := &problem{
-		k:      ob.k,
-		n:      ob.n,
-		adj:    append([][]int32(nil), ob.adj...),
-		dissim: ob.dissim,
-		pairs:  ob.pairs,
-		orig:   ob.orig,
+// structure-only change that preserved its vertex set. An unbuilt ob
+// yields another unbuilt component: its first touch builds it from the
+// new filtered graph. For a built ob the vertex sequence — hence the
+// local id mapping — is ob's; the dissimilarity lists, a function of
+// the unchanged vertex set and attributes only, are shared outright.
+// Only the adjacency rows of touched vertices are re-derived from the
+// new filtered graph (an untouched vertex has no incident
+// filtered-edge change, so its induced row is ob's row); every other
+// row is shared too. Bit-identical to building the component afresh,
+// without the O(size²) bulk similarity pass or the O(component edges)
+// induced-subgraph rebuild.
+func restructureProblem(filtered *graph.Graph, cores []int32, ob *problem, comp []int32, touched []bool) *problem {
+	if !ob.built.Load() {
+		return newComponent(filtered, cores, ob.k, ob.orig)
 	}
-	for u, g := range pr.orig {
+	adj := append([][]int32(nil), ob.adj...)
+	for u, g := range ob.orig {
 		if !touched[g] {
 			continue
 		}
@@ -489,14 +485,9 @@ func restructureProblem(filtered *graph.Graph, ob *problem, comp []int32, touche
 		}
 		// Induced builds rows sorted ascending; match it exactly.
 		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-		pr.adj[u] = row
+		adj[u] = row
 	}
-	for _, row := range pr.adj {
-		if len(row) > pr.maxDeg {
-			pr.maxDeg = len(row)
-		}
-	}
-	return pr
+	return builtProblem(ob.k, ob.orig, adj, ob.dissim, ob.pairs)
 }
 
 // localOf maps a global vertex to its local id in the sorted component,

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"krcore/internal/bitset"
 	"krcore/internal/graph"
@@ -16,14 +17,30 @@ import (
 // problem is one candidate component prepared by the initial stage of
 // Algorithm 1: a connected component of the k-core of the graph after
 // removing dissimilar edges, re-indexed with local vertex ids 0..n-1.
+//
+// Preparation fixes only the component's vertex list and maximum
+// degree. Its local problem — the induced adjacency and the quadratic
+// dissimilarity lists — is built once, on the first search, bound or
+// encoder that touches the component (see Prepared.local), from the
+// filtered graph and bulk similarity source of the Prepared doing the
+// touching. The problem itself references neither, so an unbuilt
+// component carried into later generations by a patch pins no older
+// generation's graph or index.
 type problem struct {
 	k      int
 	n      int
+	orig   []int32 // local id -> global id, ascending
+	maxDeg int     // maximum structural degree (for component ordering)
+
+	// once guards the build of adj, dissim and pairs, which are
+	// immutable afterwards; built flips when the build has completed,
+	// so a patch can carry a built problem's lists forward without
+	// forcing the build of an unbuilt one.
+	once   sync.Once
+	built  atomic.Bool
 	adj    [][]int32 // structural adjacency (all edges join similar vertices)
 	dissim [][]int32 // pairwise-dissimilar local vertex lists, sorted
 	pairs  int       // number of dissimilar pairs
-	orig   []int32   // local id -> global id
-	maxDeg int       // maximum structural degree (for component ordering)
 
 	// rows holds adj as one bitset row per vertex, for the Δ orders'
 	// branch simulation. It is built on first use (see adjRows), never
@@ -31,6 +48,56 @@ type problem struct {
 	// every Prepared a patch carries the problem into.
 	rowsOnce sync.Once
 	rows     []bitset.Set
+}
+
+// componentBuilds counts the local problems built so far; tests read it
+// to check that each component is built exactly once, on first touch.
+var componentBuilds atomic.Int64
+
+// newComponent returns the unbuilt problem of one component of the
+// filtered k-core (comp sorted ascending). Its maxDeg is each member's
+// count of filtered neighbours with core number at least k: all of
+// those lie in the member's own k-core component, so the count is the
+// member's degree in the induced subgraph the build will produce.
+func newComponent(filtered *graph.Graph, cores []int32, k int, comp []int32) *problem {
+	p := &problem{k: k, n: len(comp), orig: comp}
+	for _, v := range comp {
+		d := 0
+		for _, x := range filtered.Neighbors(v) {
+			if cores[x] >= int32(k) {
+				d++
+			}
+		}
+		p.maxDeg = max(p.maxDeg, d)
+	}
+	return p
+}
+
+// builtProblem wraps an already materialised local problem (decoded
+// from a snapshot, or restructured from a built one).
+func builtProblem(k int, orig []int32, adj, dissim [][]int32, pairs int) *problem {
+	p := &problem{k: k, n: len(orig), orig: orig, adj: adj, dissim: dissim, pairs: pairs}
+	for _, nb := range adj {
+		p.maxDeg = max(p.maxDeg, len(nb))
+	}
+	p.once.Do(func() {})
+	p.built.Store(true)
+	return p
+}
+
+// build materialises p's local problem: the subgraph of filtered
+// induced by orig and the dissimilar pairs among orig answered by the
+// bulk similarity source. Run once, under p.once.
+func (p *problem) build(filtered *graph.Graph, src similarity.BulkSource) {
+	sub, _ := filtered.Induced(p.orig)
+	d := simgraph.BuildDissimBulk(src, p.orig)
+	p.adj = make([][]int32, p.n)
+	for u := range p.adj {
+		p.adj[u] = sub.Neighbors(int32(u))
+	}
+	p.dissim, p.pairs = d.Lists, d.Pairs
+	componentBuilds.Add(1)
+	p.built.Store(true)
 }
 
 // maxRowsN caps the components whose adjacency is kept as bitset rows.
@@ -61,16 +128,26 @@ func buildRows(p *problem) []bitset.Set {
 
 // Prepared holds the candidate components of one (k,r) problem, the
 // output of Algorithm 1 lines 1-3, ready to be searched many times.
-// A Prepared is immutable after construction and safe for concurrent
-// use: Enumerate, EnumerateContaining and FindMaximum may all run at
-// once against the same Prepared, each with its own search state and
-// budget. The serving layer (krcore.Engine) caches Prepared values per
-// (k,r) so repeated queries skip preprocessing entirely.
+// Preparation does the O(n+m) part only: core numbers, component
+// vertex lists, component ids and degrees. Each component's local
+// problem is built on first touch (see problem) by whichever search
+// reaches it first, exactly once; Materialize builds them all.
+// Beyond those once-guarded builds a Prepared never changes, and it is
+// safe for concurrent use: Enumerate, EnumerateContaining and
+// FindMaximum may all run at once against the same Prepared, each with
+// its own search state and budget. The serving layer (krcore.Engine)
+// caches Prepared values per (k,r) so repeated queries skip
+// preprocessing entirely.
 type Prepared struct {
 	p     Params
 	n     int        // vertex count of the source graph (anchor validation)
-	probs []*problem // candidate components in discovery order
+	probs []*problem // candidate components, ascending by orig[0]
 	byDeg []*problem // the same components sorted by maxDeg descending
+
+	// filtered is the dissimilar-edge-filtered graph the components
+	// were found on; the first touch of a component builds its local
+	// problem from it and from p.Oracle's bulk source.
+	filtered *graph.Graph
 
 	// coreNums holds the core number of every vertex of the filtered
 	// graph (length n), the substrate incremental maintenance repairs
@@ -81,6 +158,47 @@ type Prepared struct {
 	// copy-on-write across patches that leave them unchanged.
 	coreNums []int32
 	compID   []int32
+}
+
+// local returns c with its local problem built, building it on first
+// touch from pr's filtered graph and bulk similarity source. Every
+// Prepared holding c builds the same problem: a patch carries a
+// component only when its vertex set, induced edges and attributes
+// are unchanged.
+func (pr *Prepared) local(c *problem) *problem {
+	c.once.Do(func() { c.build(pr.filtered, simindex.For(pr.p.Oracle)) })
+	return c
+}
+
+// Materialize builds every component's local problem that is not built
+// yet, so later searches touch only built components.
+func (pr *Prepared) Materialize() {
+	for _, c := range pr.probs {
+		pr.local(c)
+	}
+}
+
+// BuiltComponents reports how many components have their local
+// problem built so far.
+func (pr *Prepared) BuiltComponents() int {
+	n := 0
+	for _, c := range pr.probs {
+		if c.built.Load() {
+			n++
+		}
+	}
+	return n
+}
+
+// orderByDeg returns the maximum search's component order: the
+// components by maxDeg descending, ties in discovery order. The search
+// starts from the component holding the highest-degree vertex
+// (Section 6.1): a large core early tightens the size bound everywhere.
+// Computed once per Prepared so concurrent FindMaximum calls share it.
+func orderByDeg(probs []*problem) []*problem {
+	byDeg := append([]*problem(nil), probs...)
+	sort.SliceStable(byDeg, func(i, j int) bool { return byDeg[i].maxDeg > byDeg[j].maxDeg })
+	return byDeg
 }
 
 // CoreNumbers returns the per-vertex core numbers of the filtered graph
@@ -126,11 +244,12 @@ func FilterDissimilar(g *graph.Graph, o *similarity.Oracle) *graph.Graph {
 	return g.FilterEdgesBatch(simindex.For(o).SimilarBatch)
 }
 
-// PrepareFiltered builds the candidate components for p on a graph
+// PrepareFiltered finds the candidate components for p on a graph
 // already filtered by FilterDissimilar with p.Oracle: it computes the
-// k-core, splits it into connected components and builds the local
-// problems. Components smaller than k+1 vertices cannot host a
-// (k,r)-core and are skipped.
+// k-core and splits it into connected components. Components smaller
+// than k+1 vertices cannot host a (k,r)-core and are skipped. The
+// components' local problems are left to their first touch (see
+// Prepared.local).
 //
 // The per-component dissimilarity lists come from the bulk engine's
 // similar-pair construction instead of O(n²) per-pair oracle calls.
@@ -141,10 +260,9 @@ func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	pr := &Prepared{p: p, n: filtered.N()}
+	pr := &Prepared{p: p, n: filtered.N(), filtered: filtered}
 	pr.coreNums = kcore.Decompose32(filtered)
 	pr.compID = newCompIDs(pr.n)
-	src := simindex.For(p.Oracle)
 	kc := coreMembers(pr.coreNums, p.K)
 	if len(kc) == 0 {
 		return pr, nil
@@ -156,49 +274,24 @@ func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 		for _, v := range comp {
 			pr.compID[v] = comp[0]
 		}
-		pr.probs = append(pr.probs, buildProblem(filtered, src, p, comp))
+		pr.probs = append(pr.probs, newComponent(filtered, pr.coreNums, p.K, comp))
 	}
-	// The maximum search starts from the component holding the
-	// highest-degree vertex (Section 6.1): a large core early tightens
-	// the size bound everywhere. Sorted once here so concurrent
-	// FindMaximum calls share the read-only order.
-	pr.byDeg = append([]*problem(nil), pr.probs...)
-	sort.SliceStable(pr.byDeg, func(i, j int) bool { return pr.byDeg[i].maxDeg > pr.byDeg[j].maxDeg })
+	pr.byDeg = orderByDeg(pr.probs)
 	return pr, nil
 }
 
 // Components reports the number of prepared candidate components.
 func (pr *Prepared) Components() int { return len(pr.probs) }
 
-// prepare is the single-shot form used by the baselines and tests.
+// prepare is the single-shot form used by the baselines and tests; it
+// returns the components with their local problems built.
 func prepare(g *graph.Graph, p Params) []*problem {
 	pr, err := Prepare(g, p)
 	if err != nil {
 		return nil
 	}
+	pr.Materialize()
 	return pr.probs
-}
-
-// buildProblem constructs the local problem for one component of the
-// filtered k-core.
-func buildProblem(filtered *graph.Graph, src similarity.BulkSource, p Params, comp []int32) *problem {
-	sub, orig := filtered.Induced(comp)
-	d := simgraph.BuildDissimBulk(src, orig)
-	pr := &problem{
-		k:      p.K,
-		n:      sub.N(),
-		adj:    make([][]int32, sub.N()),
-		dissim: d.Lists,
-		pairs:  d.Pairs,
-		orig:   orig,
-	}
-	for u := 0; u < sub.N(); u++ {
-		pr.adj[u] = sub.Neighbors(int32(u))
-		if len(pr.adj[u]) > pr.maxDeg {
-			pr.maxDeg = len(pr.adj[u])
-		}
-	}
-	return pr
 }
 
 // toGlobal maps local vertex ids to sorted global ids.
