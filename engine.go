@@ -426,12 +426,14 @@ func (e *Engine) forR(r float64) *rEntry {
 }
 
 // advanceDelta describes one committed mutation batch to the engine's
-// scoped invalidation: the post-mutation graph, the effective edge diff
-// (normalized u < v), the vertices with changed attributes, whether the
-// vertex set grew, and the touched mask (endpoints of every changed
-// pair plus every attribute-changed vertex, length g2.N()).
+// scoped invalidation: the post-mutation graph and the metric reading
+// the post-mutation attributes, the effective edge diff (normalized
+// u < v), the vertices with changed attributes, whether the vertex set
+// grew, and the touched mask (endpoints of every changed pair plus
+// every attribute-changed vertex, length g2.N()).
 type advanceDelta struct {
 	g2        *graph.Graph
+	metric    Metric
 	addPairs  [][2]int32
 	delPairs  [][2]int32
 	attrVerts []int32
@@ -475,7 +477,7 @@ type advanceStats struct {
 // only reads entries that are ready, whose fields are immutable.
 func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 	var st advanceStats
-	ne := NewEngine(d.g2, e.metric)
+	ne := NewEngine(d.g2, d.metric)
 	ne.tr = e.tr
 	e.mu.Lock()
 	rs := make(map[float64]*rEntry, len(e.byR))
@@ -499,7 +501,7 @@ func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 		}
 		oracle := old.oracle
 		if attrsChanged {
-			oracle = NewOracle(e.metric, r)
+			oracle = NewOracle(d.metric, r)
 			BuildIndex(oracle)
 			st.indexesRebuilt++
 		} else {

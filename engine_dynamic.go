@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"krcore/internal/graph"
 	"krcore/internal/similarity"
@@ -81,7 +82,12 @@ func SetAttributesUpdate(u int32, a VertexAttributes) Update {
 // WeightedKeywordAttributes implement it; adapters over custom metrics
 // only need these three methods.
 type DynamicAttributes interface {
-	// Metric exposes the similarity metric reading the store.
+	// Metric exposes the similarity metric reading the store. A
+	// returned Metric must read a state no later Grow or SetAttributes
+	// changes: queries keep reading an engine generation's metric
+	// while the next commit writes the store, so a store that writes
+	// in place has to copy itself first (the built-in stores are
+	// copy-on-write).
 	Metric() Metric
 	// Grow extends the store to n vertices with zero-valued attributes
 	// (no-op when already at least that large).
@@ -162,29 +168,26 @@ type JournalAppender interface {
 // are always bit-identical to a from-scratch Engine over the mutated
 // graph — the differential test harness enforces exactly that.
 //
-// Concurrency: query methods take a shared lock and run fully in
-// parallel with each other. Mutations go through a group-commit write
-// path: concurrent ApplyBatch calls enqueue their batches and the
-// first caller through becomes the round's leader, validating and
-// merging every queued batch into one delta, one journal append and
-// one snapshot advance. Structure-only rounds build the new snapshot
-// entirely outside the engine lock — queries keep running against the
-// current snapshot for the whole rebuild and are blocked only for the
-// pointer swap; attribute rounds hold the lock across the advance,
-// because the attribute store they mutate is read by concurrent
-// cache-miss preparation. All methods are safe for concurrent use.
+// Concurrency: every commit publishes an immutable generation (graph,
+// engine, counters) through one atomic pointer, and every query loads
+// the current generation once and runs on it, never waiting for a
+// writer. Mutations go through a group-commit write path: concurrent
+// ApplyBatch calls enqueue their batches and the first caller through
+// becomes the round's leader, validating and merging every queued
+// batch into one delta, one journal append and one generation. The
+// attribute store is copy-on-write (see DynamicAttributes), so an
+// attribute round never changes the state an older generation's
+// queries read. All methods are safe for concurrent use.
 type DynamicEngine struct {
-	mu    sync.RWMutex
-	attrs DynamicAttributes
-	g     *graph.Graph
-	eng   *Engine
-	stats DynamicStats
+	gen atomic.Pointer[generation]
 
 	// commitMu serialises commit rounds; the holder is the round's
-	// leader. journal is guarded by it, and the leader's journal append
-	// (one fsync per group commit) deliberately runs under it — that
-	// ordering is the durability contract. krlint:iolock
+	// leader and the only user of attrs. journal is guarded by it, and
+	// the leader's journal append (one fsync per group commit)
+	// deliberately runs under it — that ordering is the durability
+	// contract. krlint:iolock
 	commitMu  sync.Mutex
+	attrs     DynamicAttributes
 	journal   JournalAppender
 	commitObs func(CommitInfo)
 
@@ -192,10 +195,18 @@ type DynamicEngine struct {
 	pendMu  sync.Mutex
 	pending []*commitReq
 
-	// preAdvance, when non-nil, runs at the start of a structure-only
-	// round's out-of-lock rebuild. Tests use it to hold a commit
-	// mid-rebuild and prove queries still run.
+	// preAdvance, when non-nil, runs in every commit round before the
+	// next generation is built. Tests use it to hold a commit
+	// mid-round and prove queries still run.
 	preAdvance func()
+}
+
+// generation is one published state of a DynamicEngine. It is never
+// modified after publication; the next commit publishes a new one.
+type generation struct {
+	g     *graph.Graph
+	eng   *Engine
+	stats DynamicStats
 }
 
 // commitReq is one ApplyBatch call waiting in the commit queue.
@@ -222,7 +233,9 @@ func NewDynamicEngine(g *Graph, attrs DynamicAttributes) (*DynamicEngine, error)
 		return nil, errors.New("krcore: dynamic engine needs a dynamic attribute store")
 	}
 	attrs.Grow(g.N())
-	return &DynamicEngine{attrs: attrs, g: g, eng: NewEngine(g, attrs.Metric())}, nil
+	d := &DynamicEngine{attrs: attrs}
+	d.gen.Store(&generation{g: g, eng: NewEngine(g, attrs.Metric())})
+	return d, nil
 }
 
 // AddEdge inserts the undirected edge (u,v). Inserting an existing edge
@@ -319,7 +332,7 @@ func (d *DynamicEngine) SetCommitObserver(fn func(CommitInfo)) {
 // kind-specific text format, so a journal opened for this engine must
 // use the same kind (see updates.OpenJournal).
 func (d *DynamicEngine) AttributeKind() string {
-	switch d.attrs.Metric().(type) {
+	switch d.gen.Load().eng.metric.(type) {
 	case similarity.Euclidean:
 		return "geo"
 	case similarity.Jaccard:
@@ -391,10 +404,11 @@ func applyToDelta(delta *graph.Delta, batch []Update, attrUps *[]Update) error {
 
 // commitGroup commits one round: validate and merge every queued batch
 // into a single delta, append the accepted updates to the journal, and
-// publish one new snapshot. Caller holds commitMu — the leader is the
-// only writer of d.g/d.eng/d.attrs until it returns, which is what
-// lets the structure-only path read them without d.mu.
+// publish one new generation — no-op rounds included, which only
+// advance the counters. Caller holds commitMu, so the leader is the
+// only writer of d.gen and d.attrs until it returns.
 func (d *DynamicEngine) commitGroup(group []*commitReq) {
+	cur := d.gen.Load()
 	errs := make([]error, len(group))
 	var delta *graph.Delta
 	var attrUps []Update
@@ -403,7 +417,7 @@ func (d *DynamicEngine) commitGroup(group []*commitReq) {
 	// reference vertices the excluded one would have added. Each restart
 	// excludes at least one batch, so the loop terminates.
 restart:
-	delta = graph.NewDelta(d.g)
+	delta = graph.NewDelta(cur.g)
 	attrUps = attrUps[:0]
 	for gi, req := range group {
 		if errs[gi] != nil {
@@ -439,106 +453,69 @@ restart:
 			return
 		}
 	}
-
-	countGroup := func() {
-		if accepted > 0 {
-			d.stats.GroupCommits++
-		}
-		for gi, req := range group {
-			if errs[gi] == nil {
-				d.stats.Batches++
-				d.stats.Updates += int64(len(req.batch))
-			}
-		}
+	next := *cur
+	if accepted > 0 {
+		next.stats.GroupCommits++
 	}
+	next.stats.Batches += int64(accepted)
+	next.stats.Updates += int64(len(ops))
 
-	// observeCommit reports the accepted round's coalescing shape to the
-	// registered observer (leader-only, under commitMu — never d.mu).
-	observeCommit := func() {
-		if d.commitObs != nil && accepted > 0 {
-			d.commitObs(CommitInfo{Batches: accepted, Ops: len(ops)})
-		}
+	if d.preAdvance != nil {
+		d.preAdvance()
 	}
-
-	if delta.Empty() && len(attrUps) == 0 {
-		// Effective no-op round: keep the current snapshot.
-		d.mu.Lock()
-		countGroup()
-		d.mu.Unlock()
-		observeCommit()
-		deliver(group, errs)
-		return
+	if !delta.Empty() || len(attrUps) > 0 {
+		d.advance(&next, delta, attrUps)
 	}
+	d.gen.Store(&next)
+	if d.commitObs != nil && accepted > 0 {
+		d.commitObs(CommitInfo{Batches: accepted, Ops: len(ops)})
+	}
+	deliver(group, errs)
+}
 
+// advance applies the round's delta and attribute updates to the
+// attribute store and builds next's graph and engine from them by
+// scoped invalidation (see Engine.advance). The store's copy-on-write
+// keeps the current generation's metric unchanged.
+func (d *DynamicEngine) advance(next *generation, delta *graph.Delta, attrUps []Update) {
 	add, del := delta.Diff()
-	grown := delta.N() > d.g.N()
-	g2 := d.g.Apply(delta)
-	attrVerts := make([]int32, 0, len(attrUps))
-	attrSeen := map[int32]bool{}
-	for _, up := range attrUps {
-		if !attrSeen[up.U] {
-			attrSeen[up.U] = true
-			attrVerts = append(attrVerts, up.U)
-		}
+	g2 := next.g.Apply(delta)
+	grown := g2.N() > next.g.N()
+	if grown {
+		d.attrs.Grow(g2.N())
 	}
 	touched := make([]bool, g2.N())
 	for _, v := range delta.Touched() {
 		touched[v] = true
 	}
-	for _, u := range attrVerts {
-		touched[u] = true
+	attrVerts := make([]int32, 0, len(attrUps))
+	attrSeen := map[int32]bool{}
+	for _, up := range attrUps {
+		d.attrs.SetAttributes(up.U, up.Attrs)
+		if !attrSeen[up.U] {
+			attrSeen[up.U] = true
+			attrVerts = append(attrVerts, up.U)
+			touched[up.U] = true
+		}
 	}
-	adv := advanceDelta{
+	ne, ast := next.eng.advance(advanceDelta{
 		g2:        g2,
+		metric:    d.attrs.Metric(),
 		addPairs:  add,
 		delPairs:  del,
 		attrVerts: attrVerts,
 		grown:     grown,
 		touched:   touched,
-	}
-
-	publish := func(ne *Engine, ast advanceStats) {
-		d.g, d.eng = g2, ne
-		countGroup()
-		d.stats.Version++
-		d.stats.IndexesKept += int64(ast.indexesKept)
-		d.stats.IndexesRebuilt += int64(ast.indexesRebuilt)
-		d.stats.ComponentsReused += int64(ast.componentsReused)
-		d.stats.ComponentsRebuilt += int64(ast.componentsRebuilt)
-		d.stats.PatchesIncremental += int64(ast.patchesIncremental)
-		d.stats.PatchesFull += int64(ast.patchesFull)
-		d.stats.CoreVisited += int64(ast.coreVisited)
-	}
-
-	if len(attrUps) == 0 && !grown {
-		// Structure-only round: the attribute store is untouched, so the
-		// whole snapshot rebuild runs outside d.mu — queries keep
-		// serving the current snapshot — and the lock is held only for
-		// the pointer swap.
-		if d.preAdvance != nil {
-			d.preAdvance()
-		}
-		ne, ast := d.eng.advance(adv)
-		d.mu.Lock()
-		publish(ne, ast)
-		d.mu.Unlock()
-	} else {
-		// Attribute or growth round: the store mutations below are read
-		// by concurrent cache-miss preparation, so the rebuild stays
-		// under the write lock.
-		d.mu.Lock()
-		if grown {
-			d.attrs.Grow(g2.N())
-		}
-		for _, up := range attrUps {
-			d.attrs.SetAttributes(up.U, up.Attrs)
-		}
-		ne, ast := d.eng.advance(adv)
-		publish(ne, ast)
-		d.mu.Unlock()
-	}
-	observeCommit()
-	deliver(group, errs)
+	})
+	next.g, next.eng = g2, ne
+	next.stats.Version++
+	next.stats.IndexesKept += int64(ast.indexesKept)
+	next.stats.IndexesRebuilt += int64(ast.indexesRebuilt)
+	next.stats.ComponentsReused += int64(ast.componentsReused)
+	next.stats.ComponentsRebuilt += int64(ast.componentsRebuilt)
+	next.stats.PatchesIncremental += int64(ast.patchesIncremental)
+	next.stats.PatchesFull += int64(ast.patchesFull)
+	next.stats.CoreVisited += int64(ast.coreVisited)
 }
 
 // deliver sends each request its outcome. Channels are buffered, so
@@ -553,72 +530,53 @@ func deliver(group []*commitReq, errs []error) {
 // Graph returns the current immutable graph snapshot. It stays valid
 // (and unchanged) however many updates follow.
 func (d *DynamicEngine) Graph() *Graph {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.g
+	return d.gen.Load().g
 }
 
 // N returns the current vertex count.
 func (d *DynamicEngine) N() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.g.N()
+	return d.gen.Load().g.N()
 }
 
 // M returns the current undirected edge count.
 func (d *DynamicEngine) M() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.g.M()
+	return d.gen.Load().g.M()
 }
 
 // Enumerate returns all maximal (k,r)-cores of the current snapshot
 // (see Engine.Enumerate).
 func (d *DynamicEngine) Enumerate(k int, r float64, opt EnumOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Enumerate(k, r, opt)
+	return d.gen.Load().eng.Enumerate(k, r, opt)
 }
 
 // EnumerateContaining returns the maximal (k,r)-cores containing v in
 // the current snapshot (see Engine.EnumerateContaining).
 func (d *DynamicEngine) EnumerateContaining(k int, r float64, v int32, opt EnumOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.EnumerateContaining(k, r, v, opt)
+	return d.gen.Load().eng.EnumerateContaining(k, r, v, opt)
 }
 
 // FindMaximum returns the maximum (k,r)-core of the current snapshot
 // (see Engine.FindMaximum).
 func (d *DynamicEngine) FindMaximum(k int, r float64, opt MaxOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.FindMaximum(k, r, opt)
+	return d.gen.Load().eng.FindMaximum(k, r, opt)
 }
 
 // EnumerateContext is Enumerate bound to a request context (see
-// Engine.EnumerateContext). The context also covers the time the query
-// may spend waiting for an in-flight mutation to publish its snapshot.
+// Engine.EnumerateContext).
 func (d *DynamicEngine) EnumerateContext(ctx context.Context, k int, r float64, opt EnumOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.EnumerateContext(ctx, k, r, opt)
+	return d.gen.Load().eng.EnumerateContext(ctx, k, r, opt)
 }
 
 // EnumerateContainingContext is EnumerateContaining bound to a request
 // context (see Engine.EnumerateContext).
 func (d *DynamicEngine) EnumerateContainingContext(ctx context.Context, k int, r float64, v int32, opt EnumOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.EnumerateContainingContext(ctx, k, r, v, opt)
+	return d.gen.Load().eng.EnumerateContainingContext(ctx, k, r, v, opt)
 }
 
 // FindMaximumContext is FindMaximum bound to a request context (see
 // Engine.EnumerateContext).
 func (d *DynamicEngine) FindMaximumContext(ctx context.Context, k int, r float64, opt MaxOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.FindMaximumContext(ctx, k, r, opt)
+	return d.gen.Load().eng.FindMaximumContext(ctx, k, r, opt)
 }
 
 // Warm prepares the (k,r) setting ahead of traffic and builds every
@@ -626,40 +584,30 @@ func (d *DynamicEngine) FindMaximumContext(ctx context.Context, k int, r float64
 // scoped invalidation, and a component an update rebuilds is built
 // again on its first touch.
 func (d *DynamicEngine) Warm(k int, r float64) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Warm(k, r)
+	return d.gen.Load().eng.Warm(k, r)
 }
 
 // Oracle returns the current snapshot's similarity oracle at threshold
 // r (see Engine.Oracle).
 func (d *DynamicEngine) Oracle(r float64) (*Oracle, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Oracle(r)
+	return d.gen.Load().eng.Oracle(r)
 }
 
 // Stats reports the serving cache counters. Hit and miss counts carry
 // across updates, so Hits+Misses always equals the number of queries
 // answered since construction.
 func (d *DynamicEngine) Stats() EngineStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Stats()
+	return d.gen.Load().eng.Stats()
 }
 
 // SettingsStats reports the current snapshot's per-(k,r) cache
 // traffic (see Engine.SettingsStats). Counts persist across updates
 // for every setting the scoped invalidation carries over.
 func (d *DynamicEngine) SettingsStats() []SettingStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.SettingsStats()
+	return d.gen.Load().eng.SettingsStats()
 }
 
 // DynamicStats reports update activity and invalidation reuse counters.
 func (d *DynamicEngine) DynamicStats() DynamicStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.stats
+	return d.gen.Load().stats
 }

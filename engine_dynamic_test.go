@@ -243,9 +243,7 @@ func randomBatch(cfg diffMetric, m *dynMirror, rng *rand.Rand) []Update {
 // must preserve across every update.
 func assertMaintainedCores(t *testing.T, d *DynamicEngine, label string) {
 	t.Helper()
-	d.mu.RLock()
-	e := d.eng
-	d.mu.RUnlock()
+	e := d.gen.Load().eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	checked := 0
@@ -598,32 +596,19 @@ func TestDynamicEngineCoreMaintenanceStreams(t *testing.T) {
 }
 
 // TestDynamicEngineReadersNotStarvedByRebuild is the regression for
-// the write path holding the engine lock across snapshot rebuilds: a
-// structure-only commit is parked mid-rebuild (via the preAdvance test
-// hook, which runs outside d.mu) and queries must still complete —
-// they would block forever on d.mu under the old
-// rebuild-under-write-lock behaviour.
+// the write path making readers wait for a rebuild: a commit of each
+// round kind is parked mid-round (via the preAdvance
+// test hook) and queries against the current generation must still
+// complete — they would block forever if any round kind made readers
+// wait for the new generation.
 func TestDynamicEngineReadersNotStarvedByRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	cfg := diffMetrics()[0]
 	m := buildDiffInstance(cfg, rng)
-	store := cfg.newStore()
-	store.Grow(m.n)
-	for u := 0; u < m.n; u++ {
-		store.SetAttributes(int32(u), m.attrs[u])
-	}
-	eng, err := NewDynamicEngine(m.graph(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := cfg.presets[0]
-	if err := eng.Warm(p.k, p.r); err != nil {
-		t.Fatal(err)
-	}
-	versionBefore := eng.DynamicStats().Version
 
 	// Pick an edge that is genuinely absent: adding an existing edge is
-	// an effective no-op and would skip the rebuild entirely.
+	// an effective no-op and would publish no new version.
 	var au, av int32 = -1, -1
 	for u := int32(0); u < int32(m.n) && au < 0; u++ {
 		for v := u + 1; v < int32(m.n); v++ {
@@ -637,41 +622,77 @@ func TestDynamicEngineReadersNotStarvedByRebuild(t *testing.T) {
 		t.Fatal("instance is a complete graph; cannot pick an absent edge")
 	}
 
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	eng.preAdvance = func() {
-		close(entered)
-		<-release
-	}
-	done := make(chan error, 1)
-	go func() { done <- eng.AddEdge(au, av) }() // structure-only commit
-	<-entered                                   // the commit is now mid-rebuild
+	for _, tc := range []struct {
+		name   string
+		commit func(*DynamicEngine) error
+	}{
+		{"add-edge", func(d *DynamicEngine) error { return d.AddEdge(au, av) }},
+		{"set-attributes", func(d *DynamicEngine) error {
+			return d.SetAttributes(0, cfg.randAttr(rng, 3))
+		}},
+		{"add-vertex", func(d *DynamicEngine) error {
+			_, err := d.AddVertex()
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := cfg.newStore()
+			store.Grow(m.n)
+			for u := 0; u < m.n; u++ {
+				store.SetAttributes(int32(u), m.attrs[u])
+			}
+			eng, err := NewDynamicEngine(m.graph(), store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Warm(p.k, p.r); err != nil {
+				t.Fatal(err)
+			}
+			versionBefore := eng.DynamicStats().Version
 
-	// Queries against the still-current snapshot must complete while
-	// the rebuild is parked; a timeout here means the write path held
-	// the engine lock across the rebuild.
-	queried := make(chan error, 1)
-	go func() {
-		_, err := eng.Enumerate(p.k, p.r, EnumOptions{})
-		queried <- err
-	}()
-	select {
-	case err := <-queried:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("query blocked behind an in-flight snapshot rebuild")
-	}
-	if v := eng.DynamicStats().Version; v != versionBefore {
-		t.Fatalf("snapshot published before the rebuild finished: version %d -> %d", versionBefore, v)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if v := eng.DynamicStats().Version; v != versionBefore+1 {
-		t.Fatalf("commit did not publish: version %d -> %d", versionBefore, v)
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			unpark := sync.OnceFunc(func() { close(release) })
+			defer unpark()
+			eng.preAdvance = func() {
+				close(entered)
+				<-release
+			}
+			done := make(chan error, 1)
+			go func() { done <- tc.commit(eng) }()
+			select {
+			case <-entered: // the commit is now mid-round
+			case <-time.After(10 * time.Second):
+				t.Fatal("commit round never reached the preAdvance hook")
+			}
+
+			// Queries against the still-current generation must complete
+			// while the round is parked; a timeout here means the write
+			// path made readers wait for it.
+			queried := make(chan error, 1)
+			go func() {
+				_, err := eng.Enumerate(p.k, p.r, EnumOptions{})
+				queried <- err
+			}()
+			select {
+			case err := <-queried:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("query blocked behind an in-flight commit round")
+			}
+			if v := eng.DynamicStats().Version; v != versionBefore {
+				t.Fatalf("generation published before the round finished: version %d -> %d", versionBefore, v)
+			}
+			unpark()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if v := eng.DynamicStats().Version; v != versionBefore+1 {
+				t.Fatalf("commit did not publish: version %d -> %d", versionBefore, v)
+			}
+		})
 	}
 }
 

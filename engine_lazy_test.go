@@ -54,11 +54,11 @@ func TestDynamicEngineUnbuiltComponentPinsNoOldGeneration(t *testing.T) {
 	if anchorCore == nil {
 		t.Fatal("no vertex lies in a core")
 	}
-	pr := preparedAt(d.eng, k, r)
+	pr := preparedAt(d.gen.Load().eng, k, r)
 	if pr.Components() < 3 || pr.BuiltComponents() != 1 {
 		t.Fatalf("want one built component of several: %d built of %d", pr.BuiltComponents(), pr.Components())
 	}
-	first := filteredAt(d.eng, r)
+	first := filteredAt(d.gen.Load().eng, r)
 
 	// Toggle an edge inside the anchor's core: each commit changes that
 	// component only, so every other one is carried over unbuilt.
@@ -87,7 +87,7 @@ func TestDynamicEngineUnbuiltComponentPinsNoOldGeneration(t *testing.T) {
 	if st := d.DynamicStats(); st.Batches != 4 || st.IndexesRebuilt != 0 || st.ComponentsReused == 0 {
 		t.Fatalf("want 4 structure-only commits reusing components: %+v", st)
 	}
-	pr = preparedAt(d.eng, k, r)
+	pr = preparedAt(d.gen.Load().eng, k, r)
 	if pr.BuiltComponents() > 1 || pr.Components() < 3 {
 		t.Fatalf("components were built by the commits: %d built of %d", pr.BuiltComponents(), pr.Components())
 	}

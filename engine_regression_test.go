@@ -250,7 +250,7 @@ func TestEngineContextVariants(t *testing.T) {
 	// The dynamic engine exposes the same surface.
 	geo2 := NewGeoAttributes(g.N())
 	for u := 0; u < g.N(); u++ {
-		p := geo.store.Vertex(int32(u))
+		p := geo.store.Read().Vertex(int32(u))
 		geo2.Set(int32(u), p.X, p.Y)
 	}
 	deng, err := NewDynamicEngine(g, geo2)

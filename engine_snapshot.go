@@ -51,55 +51,18 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 // Engine.SaveSnapshot captures plus the update journal position
 // (JournalOffset) and maintenance counters, so a crashed process
 // recovers by loading the snapshot and replaying its update journal
-// from that offset (see updates.Stream.ReplayStreamFrom). Only the
-// capture runs under the engine's read lock — the attribute store (the
-// one piece of captured state mutations modify in place) is cloned
-// before the lock is released, and the snapshot encoding streams to w
-// with no lock held, so neither queries nor mutations wait for the
-// write I/O.
+// from that offset (see updates.Stream.ReplayStreamFrom). It captures
+// the current generation, which no later commit modifies, so neither
+// queries nor mutations wait for the capture or the write I/O.
 func (d *DynamicEngine) SaveSnapshot(w io.Writer) error {
-	st, err := d.snapshotLocked()
+	gen := d.gen.Load()
+	st, err := gen.eng.snapshotState()
 	if err != nil {
 		return err
 	}
+	dyn := snapshot.DynamicState(gen.stats)
+	st.Dynamic = &dyn
 	return snapshot.Write(w, st)
-}
-
-// snapshotLocked captures a consistent serialisable state under the
-// read lock. Everything captured is immutable-after-publication
-// (patched CSR graphs, built oracles, prepared components, whose
-// unbuilt local problems snapshotState builds under the lock) except
-// the attribute store, which SetAttributes/AddVertex mutate in place —
-// it is deep-cloned here so the caller can encode after unlock.
-func (d *DynamicEngine) snapshotLocked() (*snapshot.EngineState, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	st, err := d.eng.snapshotState()
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case st.Geo != nil:
-		st.Geo = st.Geo.Clone()
-	case st.Keywords != nil:
-		st.Keywords = st.Keywords.Clone()
-	case st.Weighted != nil:
-		st.Weighted = st.Weighted.Clone()
-	}
-	st.Dynamic = &snapshot.DynamicState{
-		Updates:            d.stats.Updates,
-		Batches:            d.stats.Batches,
-		Version:            d.stats.Version,
-		IndexesKept:        d.stats.IndexesKept,
-		IndexesRebuilt:     d.stats.IndexesRebuilt,
-		ComponentsReused:   d.stats.ComponentsReused,
-		ComponentsRebuilt:  d.stats.ComponentsRebuilt,
-		GroupCommits:       d.stats.GroupCommits,
-		PatchesIncremental: d.stats.PatchesIncremental,
-		PatchesFull:        d.stats.PatchesFull,
-		CoreVisited:        d.stats.CoreVisited,
-	}
-	return st, nil
 }
 
 // LoadDynamicEngine reconstructs a mutable serving engine from a
@@ -121,22 +84,12 @@ func LoadDynamicEngine(r io.Reader) (*DynamicEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	de := &DynamicEngine{attrs: attrs, g: eng.g, eng: eng}
+	gen := &generation{g: eng.g, eng: eng}
 	if st.Dynamic != nil {
-		de.stats = DynamicStats{
-			Updates:            st.Dynamic.Updates,
-			Batches:            st.Dynamic.Batches,
-			Version:            st.Dynamic.Version,
-			IndexesKept:        st.Dynamic.IndexesKept,
-			IndexesRebuilt:     st.Dynamic.IndexesRebuilt,
-			ComponentsReused:   st.Dynamic.ComponentsReused,
-			ComponentsRebuilt:  st.Dynamic.ComponentsRebuilt,
-			GroupCommits:       st.Dynamic.GroupCommits,
-			PatchesIncremental: st.Dynamic.PatchesIncremental,
-			PatchesFull:        st.Dynamic.PatchesFull,
-			CoreVisited:        st.Dynamic.CoreVisited,
-		}
+		gen.stats = DynamicStats(*st.Dynamic)
 	}
+	de := &DynamicEngine{attrs: attrs}
+	de.gen.Store(gen)
 	return de, nil
 }
 
@@ -146,9 +99,7 @@ func LoadDynamicEngine(r io.Reader) (*DynamicEngine, error) {
 // engine. It equals DynamicStats().Updates and survives
 // SaveSnapshot/LoadDynamicEngine round trips.
 func (d *DynamicEngine) JournalOffset() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.stats.Updates
+	return d.gen.Load().stats.Updates
 }
 
 // snapshotState captures the engine's fully built cache entries as a
@@ -201,11 +152,6 @@ func (e *Engine) snapshotState() (*snapshot.EngineState, error) {
 		if !ent.ready.Load() || ent.err != nil || !full[key.r] {
 			continue
 		}
-		// Build every component the queries have not touched yet, here
-		// rather than in the encoder: DynamicEngine captures under its
-		// read lock, and a build reads the attribute store, which an
-		// attribute commit mutates in place once the lock is released.
-		ent.pr.Materialize()
 		st.Prepared = append(st.Prepared, snapshot.PreparedSetting{K: key.k, R: key.r, Pr: ent.pr})
 	}
 	sort.Slice(st.Prepared, func(i, j int) bool {
@@ -250,15 +196,15 @@ func oracleOnlyREntry(o *Oracle) *rEntry {
 }
 
 // dynamicAttrsFor wraps the decoded attribute store as the engine's
-// mutable store.
+// mutable store, already shared: the loaded engine's metric reads it.
 func dynamicAttrsFor(st *snapshot.EngineState) (DynamicAttributes, error) {
 	switch st.Kind {
 	case attr.KindGeo:
-		return &GeoAttributes{store: st.Geo}, nil
+		return &GeoAttributes{store: attr.NewCOW(st.Geo, true)}, nil
 	case attr.KindKeywords:
-		return &KeywordAttributes{store: st.Keywords}, nil
+		return &KeywordAttributes{store: attr.NewCOW(st.Keywords, true)}, nil
 	case attr.KindWeighted:
-		return &WeightedKeywordAttributes{store: st.Weighted}, nil
+		return &WeightedKeywordAttributes{store: attr.NewCOW(st.Weighted, true)}, nil
 	default:
 		return nil, fmt.Errorf("krcore: unknown attribute kind %d", st.Kind)
 	}

@@ -300,9 +300,8 @@ func (s *Geo) Distance2(u, v int32) float64 {
 }
 
 // Clone returns a deep copy of the store sharing no backing storage,
-// so a caller can keep reading a consistent state (a snapshot encoder
-// writing outside the serving lock) while the original resumes
-// mutating.
+// so a caller can keep reading a consistent state while the original
+// resumes mutating (see COW).
 func (s *Keywords) Clone() *Keywords {
 	return &Keywords{
 		keys:  append([]int32(nil), s.keys...),
@@ -324,4 +323,36 @@ func (s *Weighted) Clone() *Weighted {
 // See Keywords.Clone.
 func (s *Geo) Clone() *Geo {
 	return &Geo{pts: append([]Point(nil), s.pts...)}
+}
+
+// COW holds a mutable store under copy-on-write. Read hands the store
+// out and marks it shared; the first Write after that clones it once
+// and returns the private copy, so a store a reader holds never
+// changes again. A COW is not safe for concurrent use: its owner
+// serialises Read and Write, while the handed-out stores are safe to
+// read from any goroutine.
+type COW[S interface{ Clone() S }] struct {
+	store  S
+	shared bool
+}
+
+// NewCOW wraps s; shared reports whether some reader may already hold
+// it.
+func NewCOW[S interface{ Clone() S }](s S, shared bool) COW[S] {
+	return COW[S]{store: s, shared: shared}
+}
+
+// Read returns the current store for reading and marks it shared.
+func (c *COW[S]) Read() S {
+	c.shared = true
+	return c.store
+}
+
+// Write returns a store the caller may mutate: the current one if no
+// reader holds it, otherwise a fresh clone that replaces it.
+func (c *COW[S]) Write() S {
+	if c.shared {
+		c.store, c.shared = c.store.Clone(), false
+	}
+	return c.store
 }

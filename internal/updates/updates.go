@@ -33,41 +33,44 @@ import (
 
 // Attrs wraps the dataset's attribute store as a
 // krcore.DynamicAttributes, so the dataset can back a DynamicEngine.
-// The engine owns the store from then on (see NewDynamicEngine).
+// The wrapper is copy-on-write like krcore's own stores: the first
+// update clones the dataset's store, which itself never changes.
 func Attrs(d *dataset.Dataset) (krcore.DynamicAttributes, error) {
 	switch d.Kind {
 	case attr.KindGeo:
-		return geoAttrs{store: d.Geo}, nil
+		return &geoAttrs{store: attr.NewCOW(d.Geo, true)}, nil
 	case attr.KindWeighted:
-		return weightedAttrs{store: d.Weighted}, nil
+		return &weightedAttrs{store: attr.NewCOW(d.Weighted, true)}, nil
 	case attr.KindKeywords:
-		return keywordAttrs{store: d.Keywords}, nil
+		return &keywordAttrs{store: attr.NewCOW(d.Keywords, true)}, nil
 	default:
 		return nil, fmt.Errorf("updates: unsupported attribute kind %d", d.Kind)
 	}
 }
 
-type geoAttrs struct{ store *attr.Geo }
+type geoAttrs struct{ store attr.COW[*attr.Geo] }
 
-func (a geoAttrs) Metric() krcore.Metric { return similarity.Euclidean{Store: a.store} }
-func (a geoAttrs) Grow(n int)            { a.store.Grow(n) }
-func (a geoAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
-	a.store.SetVertex(u, attr.Point{X: v.X, Y: v.Y})
+func (a *geoAttrs) Metric() krcore.Metric { return similarity.Euclidean{Store: a.store.Read()} }
+func (a *geoAttrs) Grow(n int)            { a.store.Write().Grow(n) }
+func (a *geoAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
+	a.store.Write().SetVertex(u, attr.Point{X: v.X, Y: v.Y})
 }
 
-type keywordAttrs struct{ store *attr.Keywords }
+type keywordAttrs struct{ store attr.COW[*attr.Keywords] }
 
-func (a keywordAttrs) Metric() krcore.Metric { return similarity.Jaccard{Store: a.store} }
-func (a keywordAttrs) Grow(n int)            { a.store.Grow(n) }
-func (a keywordAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
-	a.store.SetVertex(u, append([]int32(nil), v.Keys...))
+func (a *keywordAttrs) Metric() krcore.Metric { return similarity.Jaccard{Store: a.store.Read()} }
+func (a *keywordAttrs) Grow(n int)            { a.store.Write().Grow(n) }
+func (a *keywordAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
+	a.store.Write().SetVertex(u, append([]int32(nil), v.Keys...))
 }
 
-type weightedAttrs struct{ store *attr.Weighted }
+type weightedAttrs struct{ store attr.COW[*attr.Weighted] }
 
-func (a weightedAttrs) Metric() krcore.Metric { return similarity.WeightedJaccard{Store: a.store} }
-func (a weightedAttrs) Grow(n int)            { a.store.Grow(n) }
-func (a weightedAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
+func (a *weightedAttrs) Metric() krcore.Metric {
+	return similarity.WeightedJaccard{Store: a.store.Read()}
+}
+func (a *weightedAttrs) Grow(n int) { a.store.Write().Grow(n) }
+func (a *weightedAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
 	entries := make([]attr.WeightedEntry, 0, len(v.Keys))
 	for i, k := range v.Keys {
 		w := 1.0
@@ -76,7 +79,7 @@ func (a weightedAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
 		}
 		entries = append(entries, attr.WeightedEntry{Key: k, Weight: w})
 	}
-	a.store.SetVertex(u, entries)
+	a.store.Write().SetVertex(u, entries)
 }
 
 // Stream is a parsed update stream that remembers the source line of

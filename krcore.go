@@ -145,81 +145,84 @@ func CoreNumbers(g *Graph) []int { return kcore.Decompose(g) }
 func KCore(g *Graph, k int) []int32 { return kcore.KCore(g, k) }
 
 // GeoAttributes stores one 2-D point per vertex and builds Euclidean
-// distance oracles ("similar = within r kilometres").
-type GeoAttributes struct{ store *attr.Geo }
+// distance oracles ("similar = within r kilometres"). The three
+// attribute stores are copy-on-write: an oracle or metric they hand out
+// keeps reading the state it was created from, and the next write
+// clones the store once instead of changing that state.
+type GeoAttributes struct{ store attr.COW[*attr.Geo] }
 
 // NewGeoAttributes returns a geo attribute store for n vertices.
 func NewGeoAttributes(n int) *GeoAttributes {
-	return &GeoAttributes{store: attr.NewGeo(n)}
+	return &GeoAttributes{store: attr.NewCOW(attr.NewGeo(n), false)}
 }
 
 // Set places vertex u at (x, y).
 func (a *GeoAttributes) Set(u int32, x, y float64) {
-	a.store.SetVertex(u, attr.Point{X: x, Y: y})
+	a.store.Write().SetVertex(u, attr.Point{X: x, Y: y})
 }
 
 // WithinDistance returns an oracle that deems two vertices similar when
 // their Euclidean distance is at most r.
 func (a *GeoAttributes) WithinDistance(r float64) *Oracle {
-	return similarity.NewOracle(similarity.Euclidean{Store: a.store}, r)
+	return similarity.NewOracle(similarity.Euclidean{Store: a.store.Read()}, r)
 }
 
 // Metric exposes the raw Euclidean distance metric (for Engine
 // construction).
-func (a *GeoAttributes) Metric() Metric { return similarity.Euclidean{Store: a.store} }
+func (a *GeoAttributes) Metric() Metric { return similarity.Euclidean{Store: a.store.Read()} }
 
 // Grow extends the store to n vertices at the origin; part of the
 // DynamicAttributes interface.
-func (a *GeoAttributes) Grow(n int) { a.store.Grow(n) }
+func (a *GeoAttributes) Grow(n int) { a.store.Write().Grow(n) }
 
 // SetAttributes places u at (v.X, v.Y); part of the DynamicAttributes
 // interface.
 func (a *GeoAttributes) SetAttributes(u int32, v VertexAttributes) {
-	a.store.SetVertex(u, attr.Point{X: v.X, Y: v.Y})
+	a.store.Write().SetVertex(u, attr.Point{X: v.X, Y: v.Y})
 }
 
 // KeywordAttributes stores one keyword set per vertex and builds
 // Jaccard similarity oracles.
-type KeywordAttributes struct{ store *attr.Keywords }
+type KeywordAttributes struct{ store attr.COW[*attr.Keywords] }
 
 // NewKeywordAttributes returns a keyword attribute store for n vertices.
 func NewKeywordAttributes(n int) *KeywordAttributes {
-	return &KeywordAttributes{store: attr.NewKeywords(n)}
+	return &KeywordAttributes{store: attr.NewCOW(attr.NewKeywords(n), false)}
 }
 
 // Set assigns the keyword ids of vertex u.
 func (a *KeywordAttributes) Set(u int32, keywords []int32) {
-	a.store.SetVertex(u, keywords)
+	a.store.Write().SetVertex(u, keywords)
 }
 
 // JaccardAtLeast returns an oracle that deems two vertices similar when
 // the Jaccard similarity of their keyword sets is at least r.
 func (a *KeywordAttributes) JaccardAtLeast(r float64) *Oracle {
-	return similarity.NewOracle(similarity.Jaccard{Store: a.store}, r)
+	return similarity.NewOracle(similarity.Jaccard{Store: a.store.Read()}, r)
 }
 
 // Metric exposes the raw Jaccard metric (for threshold calibration).
-func (a *KeywordAttributes) Metric() Metric { return similarity.Jaccard{Store: a.store} }
+func (a *KeywordAttributes) Metric() Metric { return similarity.Jaccard{Store: a.store.Read()} }
 
 // Grow extends the store to n vertices with empty keyword sets; part of
 // the DynamicAttributes interface.
-func (a *KeywordAttributes) Grow(n int) { a.store.Grow(n) }
+func (a *KeywordAttributes) Grow(n int) { a.store.Write().Grow(n) }
 
 // SetAttributes assigns v.Keys as the keyword set of u; part of the
 // DynamicAttributes interface.
 func (a *KeywordAttributes) SetAttributes(u int32, v VertexAttributes) {
-	a.store.SetVertex(u, append([]int32(nil), v.Keys...))
+	a.store.Write().SetVertex(u, append([]int32(nil), v.Keys...))
 }
 
 // WeightedKeywordAttributes stores keyword->weight lists per vertex
 // (e.g. counted conferences) and builds weighted-Jaccard oracles, the
 // similarity the paper uses for DBLP and Pokec.
-type WeightedKeywordAttributes struct{ store *attr.Weighted }
+type WeightedKeywordAttributes struct{ store attr.COW[*attr.Weighted] }
 
 // NewWeightedKeywordAttributes returns a weighted keyword store for n
 // vertices.
 func NewWeightedKeywordAttributes(n int) *WeightedKeywordAttributes {
-	return &WeightedKeywordAttributes{store: attr.NewWeighted(n)}
+	return &WeightedKeywordAttributes{store: attr.NewCOW(attr.NewWeighted(n), false)}
 }
 
 // Set assigns the (keyword, weight) list of vertex u.
@@ -232,24 +235,24 @@ func (a *WeightedKeywordAttributes) Set(u int32, keys []int32, weights []float64
 		}
 		entries = append(entries, attr.WeightedEntry{Key: keys[i], Weight: w})
 	}
-	a.store.SetVertex(u, entries)
+	a.store.Write().SetVertex(u, entries)
 }
 
 // WeightedJaccardAtLeast returns an oracle with threshold r on the
 // weighted Jaccard similarity.
 func (a *WeightedKeywordAttributes) WeightedJaccardAtLeast(r float64) *Oracle {
-	return similarity.NewOracle(similarity.WeightedJaccard{Store: a.store}, r)
+	return similarity.NewOracle(similarity.WeightedJaccard{Store: a.store.Read()}, r)
 }
 
 // Metric exposes the raw weighted-Jaccard metric (for threshold
 // calibration such as TopPermilleThreshold).
 func (a *WeightedKeywordAttributes) Metric() Metric {
-	return similarity.WeightedJaccard{Store: a.store}
+	return similarity.WeightedJaccard{Store: a.store.Read()}
 }
 
 // Grow extends the store to n vertices with empty lists; part of the
 // DynamicAttributes interface.
-func (a *WeightedKeywordAttributes) Grow(n int) { a.store.Grow(n) }
+func (a *WeightedKeywordAttributes) Grow(n int) { a.store.Write().Grow(n) }
 
 // SetAttributes assigns v.Keys with v.Weights (missing weights default
 // to 1) as the weighted keyword list of u; part of the

@@ -466,7 +466,7 @@ func TestMetricsTotalsMonotoneAcrossCommits(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Toggle edges inside the first cluster: every round is
-		// structure-only, so the rebuild runs outside the engine lock.
+		// structure-only and publishes a new engine generation.
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
